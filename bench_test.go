@@ -11,7 +11,6 @@ package uselessmiss
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -126,25 +125,6 @@ func BenchmarkClassifierOurs(b *testing.B) {
 		}
 	}
 	reportRefRate(b, tr)
-}
-
-// BenchmarkShardedClassifier runs the Appendix A classification through the
-// block-sharded pipeline at several shard counts; shards=1 is the serial
-// baseline (no demux), so the subbenchmarks read as a before/after for the
-// sharded path on this host.
-func BenchmarkShardedClassifier(b *testing.B) {
-	tr := benchTrace()
-	g := MustGeometry(64)
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := ShardedClassify(tr.Reader(), g, shards); err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportRefRate(b, tr)
-		})
-	}
 }
 
 func BenchmarkClassifierEggers(b *testing.B) {

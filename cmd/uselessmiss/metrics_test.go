@@ -61,9 +61,9 @@ func TestMetricsDeterministicAcrossParallelism(t *testing.T) {
 // shardInvariantNames is the subset of deterministic counters whose totals
 // must not move when a cell's replay is block-sharded: work totals
 // (classified references, protocol references and misses, sweep cells,
-// cache effectiveness). Demux-level counters are excluded on purpose —
-// sync and phase references are broadcast to every shard, so per-shard
-// replay legitimately re-delivers them.
+// cache effectiveness). Replay-level counters (trace.drive.*) are excluded
+// on purpose — every shard keeps every sync and phase reference, so
+// per-shard replay legitimately re-delivers them.
 var shardInvariantNames = []string{
 	obs.NameOursRefs,
 	obs.NameEggersRefs,
@@ -120,8 +120,9 @@ func TestMetricsInvariantAcrossShards(t *testing.T) {
 //   - at -shards 1 the deterministic section is byte-identical across -j.
 //     At -shards 8 it is not required to be: shardsPerCell divides the
 //     goroutine budget by the worker count, so -j changes the *effective*
-//     per-cell shard count and with it the demux routing counters, which is
-//     exactly why the invariance contract is stated over the work totals.
+//     per-cell shard count and with it the replay counters (every shard
+//     re-delivers the sync and phase references), which is exactly why the
+//     invariance contract is stated over the work totals.
 func TestMetricsShapeMatrix(t *testing.T) {
 	base := []string{"fig5", "-quick", "-workloads", "JACOBI"}
 	type combo struct{ j, shards string }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -128,9 +129,8 @@ func splitInts(s string) ([]int, error) {
 // expFlags carries the flag values shared by the experiment subcommands.
 type expFlags struct {
 	quick, csv, keepGoing *bool
-	fused                 *bool
 	workloads, protocols  *string
-	traceFiles            *string
+	traceFiles            traceFileFlag
 	par, shards           *int
 	timeout               *time.Duration
 	prof                  *profiler
@@ -139,7 +139,7 @@ type expFlags struct {
 
 // experimentFlags registers the flags shared by the experiment subcommands.
 func experimentFlags(fs *flag.FlagSet) *expFlags {
-	ef := &expFlags{}
+	ef := &expFlags{traceFiles: traceFileFlag{}}
 	ef.quick = fs.Bool("quick", false, "use the small data sets for the heavy runs")
 	ef.csv = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	ef.workloads = fs.String("workloads", "", "comma-separated workload list (default: the experiment's own)")
@@ -147,8 +147,7 @@ func experimentFlags(fs *flag.FlagSet) *expFlags {
 	ef.par = fs.Int("j", 0, "worker goroutines for the sweep grid (0 = GOMAXPROCS, 1 = serial)")
 	ef.shards = fs.Int("shards", 0, "block shards per cell (0 or 1 = serial; output is identical at any value)")
 	ef.keepGoing = fs.Bool("keep-going", false, "render a partial report with failed sweep cells marked FAILED instead of aborting (exit code 3)")
-	ef.fused = fs.Bool("fused", true, "replay each workload once per grid row, feeding all block sizes and schemes from one pass (false = one replay per cell; output is identical)")
-	ef.traceFiles = fs.String("trace-file", "", "replay workloads from packed trace files: comma-separated NAME=PATH bindings (see 'trace pack'); bound workloads stream out-of-core instead of regenerating")
+	fs.Var(ef.traceFiles, "trace-file", "replay workloads from packed trace files: comma-separated NAME=PATH bindings, repeatable (see 'trace pack'); bound workloads stream out-of-core instead of regenerating")
 	ef.timeout = fs.Duration("timeout", 0, "abort the run after this duration, like an interrupt (0 = no limit)")
 	ef.prof = addProfileFlags(fs)
 	ef.in = addObsFlags(fs)
@@ -160,13 +159,10 @@ func experimentFlags(fs *flag.FlagSet) *expFlags {
 // The caller must defer the cleanup so a timeout timer or an open trace
 // file never outlives its run.
 func (ef *expFlags) options(ctx context.Context, out io.Writer) (experiment.Options, func(), error) {
-	specs, err := parseTraceFileSpecs(*ef.traceFiles)
-	if err != nil {
-		return experiment.Options{}, nil, err
-	}
 	var files *experiment.TraceFileSet
-	if len(specs) > 0 {
-		if files, err = experiment.OpenTraceFiles(specs); err != nil {
+	if len(ef.traceFiles) > 0 {
+		var err error
+		if files, err = experiment.OpenTraceFiles(ef.traceFiles); err != nil {
 			return experiment.Options{}, nil, err
 		}
 	}
@@ -184,30 +180,39 @@ func (ef *expFlags) options(ctx context.Context, out io.Writer) (experiment.Opti
 		Shards:      *ef.shards,
 		Ctx:         ctx,
 		KeepGoing:   *ef.keepGoing,
-		NoFuse:      !*ef.fused,
 		TraceFiles:  files,
 	}, cleanup, nil
 }
 
-// parseTraceFileSpecs splits a -trace-file value ("NAME=PATH,NAME=PATH")
-// into its bindings.
-func parseTraceFileSpecs(s string) (map[string]string, error) {
-	parts := splitList(s)
-	if len(parts) == 0 {
-		return nil, nil
+// traceFileFlag collects -trace-file bindings (workload name to packed
+// trace path) across every repeat of the flag. Each value holds one or more
+// comma-separated NAME=PATH bindings; binding a workload twice, within one
+// value or across repeats, is an error.
+type traceFileFlag map[string]string
+
+// String implements flag.Value, listing the bindings in name order.
+func (f traceFileFlag) String() string {
+	parts := make([]string, 0, len(f))
+	for name, path := range f {
+		parts = append(parts, name+"="+path)
 	}
-	specs := make(map[string]string, len(parts))
-	for _, part := range parts {
+	sort.Strings(parts)
+	return strings.Join(parts, ",")
+}
+
+// Set implements flag.Value, adding one value's bindings.
+func (f traceFileFlag) Set(s string) error {
+	for _, part := range splitList(s) {
 		name, path, ok := strings.Cut(part, "=")
 		if !ok || name == "" || path == "" {
-			return nil, fmt.Errorf("bad -trace-file binding %q (want NAME=PATH)", part)
+			return fmt.Errorf("bad binding %q (want NAME=PATH)", part)
 		}
-		if _, dup := specs[name]; dup {
-			return nil, fmt.Errorf("duplicate -trace-file binding for %s", name)
+		if _, dup := f[name]; dup {
+			return fmt.Errorf("duplicate binding for %s", name)
 		}
-		specs[name] = path
+		f[name] = path
 	}
-	return specs, nil
+	return nil
 }
 
 // withTimeout tightens ctx with the -timeout flag. Expiry behaves exactly

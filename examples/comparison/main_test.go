@@ -1,0 +1,5 @@
+package main
+
+import "testing"
+
+func TestExample(t *testing.T) { main() }

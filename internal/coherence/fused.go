@@ -2,7 +2,6 @@ package coherence
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/mem"
@@ -18,24 +17,25 @@ import (
 // and reads nothing from the drive but the reference stream itself. Feeding
 // N simulators from one stream is therefore exactly N independent replays
 // of the same stream, and each Finish returns precisely the per-cell
-// result. Sharding composes the same way it does per cell: all state is
-// block-keyed and sync references are broadcast, so the shard-native
-// streams drive every simulator through the serial schedule restricted to
-// its blocks.
+// result. Sharding composes the same way: every simulator's state is keyed
+// by block — the per-processor structures (RD/SRD invalidation buffers,
+// SD/SRD store buffers, MAX credit books) hold per-block entries — and
+// every shard's stream keeps every synchronization reference, so the
+// shard-native streams drive every simulator through the serial schedule
+// restricted to its blocks.
 
-// Fusible reports whether the named protocol's simulator may join a fused
-// multi-protocol pass. Every built-in schedule qualifies — the simulators
-// are all passive block-keyed consumers — but the predicate is the
-// extension point: a future protocol whose state couples to the drive loop
-// (e.g. one that rewinds or peeks the stream) returns false here and the
-// drivers fall back to per-cell replays for the whole grid row. Unknown
-// names are not fusible.
-func Fusible(name string) bool {
-	switch name {
-	case "MIN", "OTF", "RD", "SD", "SRD", "WBWI", "MAX", "WU", "CU":
-		return true
-	}
-	return false
+// MergeResults folds two shard Results of the same protocol into one:
+// every count is additive over a partition of the block space. The
+// protocol name is taken from a.
+func MergeResults(a, b Result) Result {
+	a.Counts = a.Counts.Add(b.Counts)
+	a.DataRefs += b.DataRefs
+	a.Misses += b.Misses
+	a.Invalidations += b.Invalidations
+	a.Upgrades += b.Upgrades
+	a.WriteThroughs += b.WriteThroughs
+	a.Updates += b.Updates
+	return a
 }
 
 // multiSim feeds one reference stream to several simulators at once.
@@ -84,15 +84,11 @@ func mergeResultSlices(a, b []Result) []Result {
 // simulators from it.
 // The results are returned in protocol order and are bit-for-bit the
 // results of RunWith per protocol, for every shard count; shards <= 1 is a
-// single serial fused replay. Every protocol must satisfy Fusible.
+// single serial fused replay. An unknown protocol name fails before any
+// reader is opened.
 func RunProtocolsShardedOpen(ctx context.Context, open func(shard int) (trace.Reader, error), procs int, g mem.Geometry, protos []string, shards int) ([]Result, error) {
 	if len(protos) == 0 {
 		return nil, nil
-	}
-	for _, name := range protos {
-		if !Fusible(name) {
-			return nil, fmt.Errorf("coherence: protocol %q cannot join a fused pass", name)
-		}
 	}
 	n := shards
 	if n < 1 {

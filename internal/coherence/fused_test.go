@@ -53,35 +53,3 @@ func TestFusedProtocolsMatchSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestFusible pins the predicate: every built-in schedule joins the fused
-// pass; unknown names do not, and RunProtocolsShardedOpen rejects them
-// before opening anything.
-func TestFusible(t *testing.T) {
-	for _, name := range shardedProtocols() {
-		if !Fusible(name) {
-			t.Errorf("built-in protocol %s reported non-fusible", name)
-		}
-	}
-	if Fusible("BOGUS") {
-		t.Error("unknown protocol reported fusible")
-	}
-
-	opened := false
-	open := func(int) (trace.Reader, error) {
-		opened = true
-		return trace.New(2).Reader(), nil
-	}
-	if _, err := RunProtocolsShardedOpen(context.Background(), open, 2, mem.MustGeometry(16), []string{"OTF", "BOGUS"}, 4); err == nil {
-		t.Error("expected an error for a non-fusible protocol")
-	}
-	if opened {
-		t.Error("reader opened despite non-fusible protocol in the set")
-	}
-
-	// The empty protocol set is a no-op, not an error.
-	res, err := RunProtocolsShardedOpen(context.Background(), open, 2, mem.MustGeometry(16), nil, 4)
-	if err != nil || len(res) != 0 {
-		t.Errorf("empty protocol set: got %v, %v", res, err)
-	}
-}

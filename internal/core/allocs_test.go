@@ -60,8 +60,8 @@ func TestEggersSteadyStateAllocs(t *testing.T) {
 // TestFusedSteadyStateAllocs pins the fused multi-geometry classifier pass
 // to zero steady-state allocations: once the hierarchical state exists for
 // every fine block, folding references into all the levels must not touch
-// the heap — otherwise fusing the sweep would trade the demux tax for a GC
-// tax. All three fused schemes are pinned.
+// the heap — otherwise fusing the sweep would trade one replay per block
+// size for a GC tax. All three fused schemes are pinned.
 func TestFusedSteadyStateAllocs(t *testing.T) {
 	geos := []mem.Geometry{
 		mem.MustGeometry(8), mem.MustGeometry(64), mem.MustGeometry(1024),

@@ -834,11 +834,11 @@ func mergeFusedResults(a, b fusedResult) fusedResult {
 
 // FusedShardedClassify runs the fused classification with the block space
 // partitioned across shards parallel fused classifiers, each driving its
-// own reader from open through a shard-native filter — no demux pump. The
-// partition is by the coarsest geometry's blocks: nested blocks never
-// straddle a coarse block, so the partition is valid at every level and
-// the merged counts equal the serial fused counts bit for bit. shards <= 1
-// opens one reader and is exactly the serial fused path.
+// own reader from open through a shard-native filter. The partition is by
+// the coarsest geometry's blocks: nested blocks never straddle a coarse
+// block, so the partition is valid at every level and the merged counts
+// equal the serial fused counts bit for bit. shards <= 1 opens one reader
+// and is exactly the serial fused path.
 func FusedShardedClassify(ctx context.Context, open func(shard int) (trace.Reader, error), procs int, geoms []mem.Geometry, shards int) ([]Counts, uint64, error) {
 	coarse := CoarsestGeometry(geoms)
 	res, err := RunShardedOpen(ctx, open, shards, trace.BlockShard(coarse, shards),

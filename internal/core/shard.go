@@ -11,8 +11,9 @@ import (
 )
 
 // This file implements the consumer side of the block-sharded
-// classification pipeline: a pool of per-shard consumer goroutines over a
-// trace.Demux, with a deterministic merge of the per-shard results.
+// classification pipeline: a pool of per-shard consumer goroutines, each
+// driving its own shard-native stream, with a deterministic merge of the
+// per-shard results.
 //
 // The classifiers' and simulators' state — presence masks, lifetimes,
 // communication bases, per-word definitions — is keyed entirely by
@@ -20,138 +21,32 @@ import (
 // space. Partitioning the data references by block therefore splits one
 // consumer into independent machines whose merged counts equal the serial
 // run's, bit for bit, for every shard count (the shard-invariance test
-// suite and FuzzShardedEquivalence enforce this). Synchronization and
-// phase references are broadcast to every shard by the demux, so
+// suite and FuzzShardedEquivalence enforce this). Every shard's
+// trace.ShardReader keeps every synchronization and phase reference, so
 // schedule-sensitive consumers see the same synchronization points.
 
-// RunSharded partitions the data references of r across shards consumers
-// and merges their results in shard order. newConsumer(i) builds shard i's
-// consumer (called before any reference flows), finish extracts a shard's
-// result, and merge folds two results together (it must be associative;
-// the fold is left-to-right from shard 0).
-//
-// With shards <= 1 the single consumer is driven inline — the exact serial
-// path, no demux. The first shard error tears the demux down, the peer
-// goroutines drain, and that error is returned; RunSharded never leaks the
-// demux pump or a shard goroutine.
-func RunSharded[C trace.Consumer, R any](
-	r trace.Reader,
-	shards int,
-	key trace.ShardFunc,
-	newConsumer func(shard int) C,
-	finish func(C) R,
-	merge func(R, R) R,
-) (R, error) {
-	return RunShardedContext(context.Background(), r, shards, key, newConsumer, finish, merge)
-}
-
-// RunShardedContext is RunSharded with a cancellation context, observed at
-// batch granularity by the demux pump and every shard drive. A canceled run
-// tears the pipeline down without leaking the pump or a shard goroutine and
-// returns ctx.Err().
-func RunShardedContext[C trace.Consumer, R any](
-	ctx context.Context,
-	r trace.Reader,
-	shards int,
-	key trace.ShardFunc,
-	newConsumer func(shard int) C,
-	finish func(C) R,
-	merge func(R, R) R,
-) (R, error) {
-	if shards <= 1 {
-		c := newConsumer(0)
-		if err := trace.DriveContext(ctx, r, c); err != nil {
-			var zero R
-			return zero, err
-		}
-		return finish(c), nil
-	}
-
-	consumers := make([]C, shards)
-	for i := range consumers {
-		consumers[i] = newConsumer(i)
-	}
-	d := trace.NewDemuxContext(ctx, r, shards, key)
-	defer d.Close()
-
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	for i := 0; i < shards; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Each shard consumer gets its own span track (single-writer),
-			// a shard.consume span over its whole drive, and — after the
-			// drive ends, so the arrow points forward in time — the
-			// consumer endpoint of the demux's flow for this shard.
-			tr := span.Acquiref("shard-consumer", i)
-			defer span.Release(tr)
-			defer tr.Begin(span.OpShardConsume, span.Fields{Shard: int32(i)}).End()
-			sctx := span.NewContext(ctx, tr)
-			err := trace.DriveContext(sctx, d.Shard(i), consumers[i])
-			tr.FlowIn(d.FlowID(i))
-			if err != nil {
-				errs[i] = err
-				// First failure cancels the demux so the peers stop
-				// instead of classifying a stream that already failed.
-				d.Close()
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	// Report the most meaningful error: a real failure beats the
-	// ErrStopped the peers observe after the teardown, and a canceled
-	// context reports ctx.Err() no matter which shard saw it first.
-	if e := ctx.Err(); e != nil {
-		var zero R
-		return zero, e
-	}
-	var stopped error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, trace.ErrStopped) {
-			if stopped == nil {
-				stopped = err
-			}
-			continue
-		}
-		var zero R
-		return zero, err
-	}
-	if stopped != nil {
-		var zero R
-		return zero, stopped
-	}
-
-	acc := finish(consumers[0])
-	for i := 1; i < shards; i++ {
-		acc = merge(acc, finish(consumers[i]))
-	}
-	return acc, nil
-}
-
-// RunShardedOpen partitions the block space across shards consumers like
-// RunShardedContext, but with shard-native streams instead of a demux: each
-// shard opens its own reader via open(shard) (a fresh deterministic
-// generation, an independent reader over a cached trace, or a packed
-// trace-store reader that skips segments with nothing for the shard) and
-// filters it down to its subsequence with a trace.ShardReader. There is no
-// central pump goroutine and no cross-shard channel traffic — the demux tax
-// the sharded pipeline used to pay. The per-shard streams are identical to
-// the demux's (the ShardReader applies the same routing and broadcast
-// rules), so the merged result is bit-for-bit the same.
+// RunShardedOpen partitions the data references of one trace across
+// shards consumers and merges their results in shard order. Each shard
+// opens its own reader via open(shard) (a fresh deterministic generation,
+// an independent reader over a cached trace, or a packed trace-store
+// reader that skips segments with nothing for the shard) and filters it
+// down to its subsequence under key with a trace.ShardReader, so shards
+// share no goroutine and no channel.
+// newConsumer(i) builds shard i's consumer (called before any reference
+// flows), finish extracts a shard's result, and merge folds two results
+// together (it must be associative; the fold is left-to-right from shard
+// 0).
 //
 // open(i) must produce a stream that contains at least shard i's
 // subsequence under key, in stream order — the full trace always
 // qualifies, and openers may pre-drop references other shards own (the
 // trace-store segment skip). With shards <= 1 a single reader is opened
-// via open(0) and driven inline, unfiltered — the exact serial path. The
-// first shard failure cancels the siblings; the error priority matches
-// RunShardedContext (the caller's context error first, then the first real
-// failure, then a bare cancellation/stop).
+// via open(0) and driven inline, unfiltered — the exact serial path.
+//
+// The first shard failure cancels the siblings, every shard goroutine has
+// exited and every opened reader is closed before RunShardedOpen returns.
+// The error reported is the caller's context error if it is done, else
+// the first real failure, else the cancellation a sibling induced.
 func RunShardedOpen[C trace.Consumer, R any](
 	ctx context.Context,
 	open func(shard int) (trace.Reader, error),
@@ -198,8 +93,8 @@ func RunShardedOpen[C trace.Consumer, R any](
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Shard-native consumers get the same track/span treatment as
-			// the demux path (no flow arrow: there is no producer goroutine).
+			// Each shard consumer gets its own span track (single-writer)
+			// and a shard.consume span over its whole drive.
 			tr := span.Acquiref("shard-consumer", i)
 			defer span.Release(tr)
 			defer tr.Begin(span.OpShardConsume, span.Fields{Shard: int32(i)}).End()
@@ -217,7 +112,8 @@ func RunShardedOpen[C trace.Consumer, R any](
 		return zero, e
 	}
 	// A shard canceled by a sibling's failure reports the derived context's
-	// error; the real failure beats it, like ErrStopped under the demux.
+	// error (or ErrStopped from a closed generator); the real failure beats
+	// it.
 	var induced error
 	for _, err := range errs {
 		if err == nil {
@@ -242,84 +138,22 @@ func RunShardedOpen[C trace.Consumer, R any](
 	return acc, nil
 }
 
-// classifyResult pairs a classification's counts with its data-reference
-// denominator so both merge together.
-type classifyResult[K any] struct {
-	counts K
-	refs   uint64
-}
-
 // ShardedClassify runs the paper's Appendix A classification with the
-// block space partitioned across shards parallel classifiers. The counts
-// and the data-reference count are identical to Classify's for every shard
-// count; shards <= 1 is exactly Classify.
-func ShardedClassify(r trace.Reader, g mem.Geometry, shards int) (Counts, uint64, error) {
-	return ShardedClassifyContext(context.Background(), r, g, shards)
-}
-
-// ShardedClassifyContext is ShardedClassify with a cancellation context; see
-// RunShardedContext.
-func ShardedClassifyContext(ctx context.Context, r trace.Reader, g mem.Geometry, shards int) (Counts, uint64, error) {
-	procs := r.NumProcs()
-	res, err := RunShardedContext(ctx, r, shards, trace.BlockShard(g, shards),
+// block space partitioned across shards parallel classifiers, each driving
+// its own reader from open (see RunShardedOpen). The counts and the
+// data-reference count are identical to Classify's for every shard count;
+// shards <= 1 is exactly Classify over open(0).
+func ShardedClassify(ctx context.Context, open func(shard int) (trace.Reader, error), procs int, g mem.Geometry, shards int) (Counts, uint64, error) {
+	type res struct {
+		counts Counts
+		refs   uint64
+	}
+	out, err := RunShardedOpen(ctx, open, shards, trace.BlockShard(g, shards),
 		func(int) *Classifier { return NewClassifier(procs, g) },
-		func(c *Classifier) classifyResult[Counts] {
-			return classifyResult[Counts]{counts: c.Finish(), refs: c.DataRefs()}
-		},
-		func(a, b classifyResult[Counts]) classifyResult[Counts] {
-			return classifyResult[Counts]{counts: a.counts.Add(b.counts), refs: a.refs + b.refs}
-		})
+		func(c *Classifier) res { return res{counts: c.Finish(), refs: c.DataRefs()} },
+		func(a, b res) res { return res{counts: a.counts.Add(b.counts), refs: a.refs + b.refs} })
 	if err != nil {
 		return Counts{}, 0, err
 	}
-	return res.counts, res.refs, nil
-}
-
-// ShardedClassifyEggers runs Eggers' classification block-sharded; see
-// ShardedClassify.
-func ShardedClassifyEggers(r trace.Reader, g mem.Geometry, shards int) (SharingCounts, uint64, error) {
-	return ShardedClassifyEggersContext(context.Background(), r, g, shards)
-}
-
-// ShardedClassifyEggersContext is ShardedClassifyEggers with a cancellation
-// context; see RunShardedContext.
-func ShardedClassifyEggersContext(ctx context.Context, r trace.Reader, g mem.Geometry, shards int) (SharingCounts, uint64, error) {
-	procs := r.NumProcs()
-	res, err := RunShardedContext(ctx, r, shards, trace.BlockShard(g, shards),
-		func(int) *Eggers { return NewEggers(procs, g) },
-		func(c *Eggers) classifyResult[SharingCounts] {
-			return classifyResult[SharingCounts]{counts: c.Finish(), refs: c.DataRefs()}
-		},
-		func(a, b classifyResult[SharingCounts]) classifyResult[SharingCounts] {
-			return classifyResult[SharingCounts]{counts: a.counts.Add(b.counts), refs: a.refs + b.refs}
-		})
-	if err != nil {
-		return SharingCounts{}, 0, err
-	}
-	return res.counts, res.refs, nil
-}
-
-// ShardedClassifyTorrellas runs Torrellas' classification block-sharded;
-// see ShardedClassify. Torrellas' word-level state shards with the blocks
-// containing the words.
-func ShardedClassifyTorrellas(r trace.Reader, g mem.Geometry, shards int) (SharingCounts, uint64, error) {
-	return ShardedClassifyTorrellasContext(context.Background(), r, g, shards)
-}
-
-// ShardedClassifyTorrellasContext is ShardedClassifyTorrellas with a
-// cancellation context; see RunShardedContext.
-func ShardedClassifyTorrellasContext(ctx context.Context, r trace.Reader, g mem.Geometry, shards int) (SharingCounts, uint64, error) {
-	procs := r.NumProcs()
-	res, err := RunShardedContext(ctx, r, shards, trace.BlockShard(g, shards),
-		func(int) *Torrellas { return NewTorrellas(procs, g) },
-		func(c *Torrellas) classifyResult[SharingCounts] {
-			return classifyResult[SharingCounts]{counts: c.Finish(), refs: c.DataRefs()}
-		},
-		func(a, b classifyResult[SharingCounts]) classifyResult[SharingCounts] {
-			return classifyResult[SharingCounts]{counts: a.counts.Add(b.counts), refs: a.refs + b.refs}
-		})
-	if err != nil {
-		return SharingCounts{}, 0, err
-	}
-	return res.counts, res.refs, nil
+	return out.counts, out.refs, nil
 }

@@ -7,6 +7,7 @@ package core
 // pipeline a drop-in replacement for the hot path.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -25,7 +26,7 @@ var shardCounts = []int{1, 2, 3, 8, 64}
 func quickConf(n int) *quick.Config { return &quick.Config{MaxCount: n} }
 
 // randomMixedTrace interleaves contended data references with sync and
-// phase references so the broadcast path of the demux is exercised.
+// phase references, which every shard's stream must keep.
 func randomMixedTrace(rng *rand.Rand, procs, n, addrRange int) *trace.Trace {
 	tr := trace.New(procs)
 	for i := 0; i < n; i++ {
@@ -44,6 +45,29 @@ func randomMixedTrace(rng *rand.Rand, procs, n, addrRange int) *trace.Trace {
 		}
 	}
 	return tr
+}
+
+// wholeTrace opens an independent reader over all of tr for every shard.
+func wholeTrace(tr *trace.Trace) func(int) (trace.Reader, error) {
+	return func(int) (trace.Reader, error) { return tr.Reader(), nil }
+}
+
+// shardedSharing runs a sharing classifier (Eggers or Torrellas) over
+// shard-native streams of tr, block-partitioned n ways.
+func shardedSharing[C interface {
+	trace.Consumer
+	Finish() SharingCounts
+	DataRefs() uint64
+}](tr *trace.Trace, g mem.Geometry, n int, newC func(procs int, g mem.Geometry) C) (SharingCounts, uint64, error) {
+	type res struct {
+		counts SharingCounts
+		refs   uint64
+	}
+	out, err := RunShardedOpen(context.Background(), wholeTrace(tr), n, trace.BlockShard(g, n),
+		func(int) C { return newC(tr.Procs, g) },
+		func(c C) res { return res{c.Finish(), c.DataRefs()} },
+		func(a, b res) res { return res{a.counts.Add(b.counts), a.refs + b.refs} })
+	return out.counts, out.refs, err
 }
 
 func shardGeometries() []mem.Geometry {
@@ -68,7 +92,7 @@ func TestShardedClassifyMatchesSerial(t *testing.T) {
 				return false
 			}
 			for _, n := range shardCounts {
-				got, refs, err := ShardedClassify(tr.Reader(), g, n)
+				got, refs, err := ShardedClassify(context.Background(), wholeTrace(tr), tr.Procs, g, n)
 				if err != nil {
 					t.Log(err)
 					return false
@@ -99,7 +123,7 @@ func TestShardedEggersMatchesSerial(t *testing.T) {
 				return false
 			}
 			for _, n := range shardCounts {
-				got, refs, err := ShardedClassifyEggers(tr.Reader(), g, n)
+				got, refs, err := shardedSharing(tr, g, n, NewEggers)
 				if err != nil {
 					t.Log(err)
 					return false
@@ -130,7 +154,7 @@ func TestShardedTorrellasMatchesSerial(t *testing.T) {
 				return false
 			}
 			for _, n := range shardCounts {
-				got, refs, err := ShardedClassifyTorrellas(tr.Reader(), g, n)
+				got, refs, err := shardedSharing(tr, g, n, NewTorrellas)
 				if err != nil {
 					t.Log(err)
 					return false
@@ -188,7 +212,7 @@ func TestShardedCoversAllFiveClasses(t *testing.T) {
 		t.Fatalf("trace does not cover all five classes: %+v", want)
 	}
 	for _, n := range shardCounts {
-		got, gotRefs, err := ShardedClassify(tr.Reader(), g, n)
+		got, gotRefs, err := ShardedClassify(context.Background(), wholeTrace(tr), tr.Procs, g, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +247,7 @@ func TestArbitraryBlockPartitionSumsToWhole(t *testing.T) {
 			counts Counts
 			refs   uint64
 		}
-		got, err := RunSharded(tr.Reader(), n, key,
+		got, err := RunShardedOpen(context.Background(), wholeTrace(tr), n, key,
 			func(int) *Classifier { return NewClassifier(procs, g) },
 			func(c *Classifier) res { return res{c.Finish(), c.DataRefs()} },
 			func(a, b res) res { return res{a.counts.Add(b.counts), a.refs + b.refs} })
@@ -245,14 +269,14 @@ func TestArbitraryBlockPartitionSumsToWhole(t *testing.T) {
 
 // TestShardedMergeInvariants checks the paper's accounting identities on
 // the MERGED counts — essential = cold + PTS, essential <= total — and
-// that the demux conserves the data-reference denominator exactly.
+// that sharding conserves the data-reference denominator exactly.
 func TestShardedMergeInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomMixedTrace(rng, 6, 700, 56)
 		g := mem.MustGeometry(32)
 		for _, n := range shardCounts {
-			counts, refs, err := ShardedClassify(tr.Reader(), g, n)
+			counts, refs, err := ShardedClassify(context.Background(), wholeTrace(tr), tr.Procs, g, n)
 			if err != nil {
 				t.Log(err)
 				return false
@@ -267,7 +291,7 @@ func TestShardedMergeInvariants(t *testing.T) {
 				return false
 			}
 			if refs != tr.DataRefs() {
-				t.Logf("shards=%d: demux lost data refs: %d of %d", n, refs, tr.DataRefs())
+				t.Logf("shards=%d: sharding lost data refs: %d of %d", n, refs, tr.DataRefs())
 				return false
 			}
 		}

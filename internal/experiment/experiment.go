@@ -69,19 +69,21 @@ type Options struct {
 	// Zero means GOMAXPROCS; 1 recovers the serial path. The rendered
 	// output is byte-identical at any setting.
 	Parallelism int
-	// Shards block-shards each cell's classification (the CLI's -shards
-	// flag): the cell's trace is demuxed by cache block across that many
-	// parallel consumers and the per-shard counts are merged. 0 or 1
-	// recovers the serial per-cell path. Shard invariance guarantees the
-	// rendered output is byte-identical at any setting; the effective
+	// Shards block-shards each cell's replay (the CLI's -shards flag):
+	// that many parallel consumers each open their own reader over the
+	// cell's trace, keep the references of their share of the cache
+	// blocks, and the per-shard counts are merged. 0 or 1 recovers the
+	// serial path: one reader, driven inline. Shard invariance guarantees
+	// the rendered output is byte-identical at any setting; the effective
 	// per-cell shard count is capped so cells x shards goroutines stay
 	// within the shared budget (see shardsPerCell).
 	Shards int
 	// TraceFiles binds workloads to packed trace files (the CLI's
 	// -trace-file flag): bound workloads replay out-of-core from their
-	// files — streamed through the cache for serial and demux paths,
-	// segment-skipping shard readers for the fused shard-native paths —
-	// instead of regenerating. Nil means every workload generates.
+	// files instead of regenerating — through segment-skipping shard
+	// readers where a cell partitions by cache block (see shardSource),
+	// and streamed through the trace cache everywhere else. Nil means
+	// every workload generates.
 	TraceFiles *TraceFileSet
 	// Cache shares materialized workload traces across driver calls
 	// (regen runs every artifact off one cache). Nil gives each driver
@@ -96,14 +98,6 @@ type Options struct {
 	// (and a footer note naming the failures) instead of aborting the
 	// driver at the first cell error (the CLI's -keep-going flag).
 	KeepGoing bool
-	// NoFuse disables the fused replay paths (the CLI's -fused=false):
-	// Fig. 5, Fig. 6 and Table 1 fall back to one replay per (workload,
-	// block) or (workload, protocol) cell instead of one fused pass per
-	// workload. The rendered output is byte-identical either way — the
-	// fused differential suite proves the counts equal bit for bit — so
-	// the flag exists for cross-checking and for grids a future consumer
-	// cannot fuse (see coherence.Fusible).
-	NoFuse bool
 }
 
 // Default returns Options writing to out.
@@ -140,13 +134,14 @@ func (o Options) ctx() context.Context {
 
 // shardsPerCell bounds the per-cell shard count so the sweep pool and the
 // shard pools compose under one goroutine budget: with P concurrent cells
-// and S shards per cell the pipeline runs about P*S consumer goroutines, so
-// the effective S is budget/P where the budget is the largest of
-// GOMAXPROCS, the requested parallelism and the requested shard count.
-// Semaphore-gating the shard consumers instead would risk deadlock (a demux
-// pump blocks on a shard whose consumer never gets a slot), and a static
-// cap costs nothing because shard invariance keeps the output identical at
-// any effective value.
+// and S shards per cell the pipeline runs about P*S consumer goroutines,
+// each holding its own consumer state and its own reader, so the effective
+// S is budget/P where the budget is the largest of GOMAXPROCS, the
+// requested parallelism and the requested shard count. Every shard reads
+// (or regenerates) the cell's stream and filters out the other shards'
+// references, so shards beyond the budget add decoding work and per-shard
+// state with no idle CPU to run them; a static cap costs nothing because
+// shard invariance keeps the output identical at any effective value.
 func (o Options) shardsPerCell() int {
 	if o.Shards <= 1 {
 		return 1
@@ -278,59 +273,6 @@ func getWorkloads(names []string) ([]*workload.Workload, error) {
 	}
 	return ws, nil
 }
-
-// triClassifier fans one shard's references to all three classification
-// schemes, so a sharded run still replays each workload trace exactly once.
-type triClassifier struct {
-	oc *core.Classifier
-	ec *core.Eggers
-	tc *core.Torrellas
-}
-
-func newTriClassifier(procs int, g mem.Geometry) *triClassifier {
-	return &triClassifier{
-		oc: core.NewClassifier(procs, g),
-		ec: core.NewEggers(procs, g),
-		tc: core.NewTorrellas(procs, g),
-	}
-}
-
-func (c *triClassifier) Ref(r trace.Ref) {
-	c.oc.Ref(r)
-	c.ec.Ref(r)
-	c.tc.Ref(r)
-}
-
-// triCounts is the merged result of a triClassifier pass.
-type triCounts struct {
-	ours         core.Counts
-	eggers, torr core.SharingCounts
-	refs         uint64
-}
-
-func mergeTriCounts(a, b triCounts) triCounts {
-	return triCounts{
-		ours:   a.ours.Add(b.ours),
-		eggers: a.eggers.Add(b.eggers),
-		torr:   a.torr.Add(b.torr),
-		refs:   a.refs + b.refs,
-	}
-}
-
-// classifyAll drives the three classifiers over one replay of the workload
-// trace, block-sharded across shards consumers (shards <= 1 is the serial
-// single-pass path).
-func classifyAll(ctx context.Context, r trace.Reader, procs int, g mem.Geometry, shards int) (triCounts, error) {
-	return core.RunShardedContext(ctx, r, shards, trace.BlockShard(g, shards),
-		func(int) *triClassifier { return newTriClassifier(procs, g) },
-		func(c *triClassifier) triCounts {
-			return triCounts{ours: c.oc.Finish(), eggers: c.ec.Finish(), torr: c.tc.Finish(), refs: c.oc.DataRefs()}
-		},
-		mergeTriCounts)
-}
-
-// fused reports whether the drivers should take the fused replay paths.
-func (o Options) fused() bool { return !o.NoFuse }
 
 // fusedTri fans one shard's references to the three fused classifiers, so a
 // whole (workload x blocks) grid row replays its trace exactly once.

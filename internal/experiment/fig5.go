@@ -21,8 +21,8 @@ type fig5Cell struct {
 // into pure cold (PC), cold-and-true-sharing (CTS), cold-and-false-sharing
 // (CFS), pure true sharing (PTS) and pure false sharing (PFS) misses as a
 // function of the block size, for each small-data-set benchmark. The
-// (workload, block) grid runs on the sweep engine; each cell replays the
-// workload's cached trace through a fresh classifier.
+// grid runs on the sweep engine with one cell per workload, whose fused
+// replay classifies every block size at once.
 func Fig5(o Options) error {
 	defer driverSpan("fig5").End()
 	names := o.workloads(workload.SmallSet())
@@ -41,55 +41,36 @@ func Fig5(o Options) error {
 		geos[i] = g
 	}
 
+	// One fused sweep cell per workload: a single pass (per shard) over the
+	// trace feeds every block size at once.
 	cache := o.traceCache()
-	var cells []fig5Cell
-	var fails *sweep.Failures
-	if o.fused() {
-		// One fused sweep cell per workload: a single pass (per shard) over
-		// the trace feeds every block size at once.
-		groups, gFails, err := mapCells(o, len(ws), func(ctx context.Context, wi int) ([]fig5Cell, error) {
-			w := ws[wi]
-			defer replaySpan(ctx, w.Name, "fused", 0).End()
-			eff := o.shardsPerCell()
-			open, err := o.shardSource(ctx, cache, w.Name, core.CoarsestGeometry(geos), eff)
-			if err != nil {
-				return nil, err
-			}
-			counts, refs, err := core.FusedShardedClassify(ctx, open, w.Procs, geos, eff)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]fig5Cell, len(geos))
-			for bi := range geos {
-				out[bi] = fig5Cell{counts: counts[bi], refs: refs}
-			}
-			return out, nil
-		})
+	groups, gFails, err := mapCells(o, len(ws), func(ctx context.Context, wi int) ([]fig5Cell, error) {
+		w := ws[wi]
+		defer replaySpan(ctx, w.Name, "fused", 0).End()
+		eff := o.shardsPerCell()
+		open, err := o.shardSource(ctx, cache, w.Name, core.CoarsestGeometry(geos), eff)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		cells = flattenGroups(groups, len(blocks))
-		fails = expandGroupFailures(gFails, len(blocks))
-	} else {
-		var err error
-		cells, fails, err = mapCells(o, len(ws)*len(blocks), func(ctx context.Context, i int) (fig5Cell, error) {
-			w, g := ws[i/len(blocks)], geos[i%len(blocks)]
-			defer replaySpan(ctx, w.Name, "ours", blocks[i%len(blocks)]).End()
-			r, err := cache.ReaderContext(ctx, w.Name)
-			if err != nil {
-				return fig5Cell{}, err
-			}
-			counts, refs, err := core.ShardedClassifyContext(ctx, r, g, o.shardsPerCell())
-			if err != nil {
-				return fig5Cell{}, err
-			}
-			return fig5Cell{counts: counts, refs: refs}, nil
-		})
+		counts, refs, err := core.FusedShardedClassify(ctx, open, w.Procs, geos, eff)
 		if err != nil {
-			return err
+			return nil, err
 		}
+		out := make([]fig5Cell, len(geos))
+		for bi := range geos {
+			out[bi] = fig5Cell{counts: counts[bi], refs: refs}
+		}
+		return out, nil
+	})
+	if err != nil {
+		return err
 	}
+	return renderFig5(o, ws, blocks, flattenGroups(groups, len(blocks)), expandGroupFailures(gFails, len(blocks)))
+}
 
+// renderFig5 writes the Fig. 5 report for the (workload, block) grid cells,
+// laid out workload-major.
+func renderFig5(o Options, ws []*workload.Workload, blocks []int, cells []fig5Cell, fails *sweep.Failures) error {
 	fmt.Fprintln(o.Out, "Figure 5: miss classification vs. block size (% of data references)")
 	for wi, w := range ws {
 		fmt.Fprintf(o.Out, "\n%s — %s\n", w.Name, w.Description)

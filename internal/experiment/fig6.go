@@ -16,8 +16,8 @@ import (
 // Fig6 regenerates one panel of the paper's Fig. 6: the effect of the
 // invalidation schedule on the miss rate at the given block size (64 bytes
 // for cache-based systems in Fig. 6a, 1024 bytes for virtual shared memory
-// in Fig. 6b). The (workload, protocol) grid runs on the sweep engine, every
-// protocol replaying the same cached trace; OTF, RD, SD and SRD are
+// in Fig. 6b). The grid runs on the sweep engine with one cell per workload,
+// whose fused replay drives every protocol at once; OTF, RD, SD and SRD are
 // decomposed into TRUE/COLD/FALSE like the paper's stacked bars, while MIN
 // (no false sharing by construction), WBWI and MAX are shown as totals.
 func Fig6(o Options, blockBytes int) error {
@@ -43,53 +43,28 @@ func Fig6(o Options, blockBytes int) error {
 		}
 	}
 
-	// The fused path needs every schedule in the row to be a passive
-	// block-keyed consumer; one that is not sends the whole grid back to
-	// per-cell replays (the counts are identical either way).
-	fuse := o.fused()
-	for _, name := range protos {
-		if !coherence.Fusible(name) {
-			fuse = false
-		}
-	}
-
+	// One fused sweep cell per workload: a single pass (per shard) over the
+	// trace drives every protocol's simulator at once.
 	cache := o.traceCache()
-	var cells []coherence.Result
-	var fails *sweep.Failures
-	if fuse {
-		// One fused sweep cell per workload: a single pass (per shard) over
-		// the trace drives every protocol's simulator at once.
-		groups, gFails, err := mapCells(o, len(ws), func(ctx context.Context, wi int) ([]coherence.Result, error) {
-			w := ws[wi]
-			defer replaySpan(ctx, w.Name, "fused-protocols", blockBytes).End()
-			eff := o.shardsPerCell()
-			open, err := o.shardSource(ctx, cache, w.Name, g, eff)
-			if err != nil {
-				return nil, err
-			}
-			return coherence.RunProtocolsShardedOpen(ctx, open, w.Procs, g, protos, eff)
-		})
+	groups, gFails, err := mapCells(o, len(ws), func(ctx context.Context, wi int) ([]coherence.Result, error) {
+		w := ws[wi]
+		defer replaySpan(ctx, w.Name, "fused-protocols", blockBytes).End()
+		eff := o.shardsPerCell()
+		open, err := o.shardSource(ctx, cache, w.Name, g, eff)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		cells = flattenGroups(groups, len(protos))
-		fails = expandGroupFailures(gFails, len(protos))
-	} else {
-		var err error
-		cells, fails, err = mapCells(o, len(ws)*len(protos), func(ctx context.Context, i int) (coherence.Result, error) {
-			w, proto := ws[i/len(protos)], protos[i%len(protos)]
-			defer replaySpan(ctx, w.Name, proto, blockBytes).End()
-			r, err := cache.ReaderContext(ctx, w.Name)
-			if err != nil {
-				return coherence.Result{}, err
-			}
-			return coherence.RunShardedContext(ctx, proto, r, g, o.shardsPerCell())
-		})
-		if err != nil {
-			return err
-		}
+		return coherence.RunProtocolsShardedOpen(ctx, open, w.Procs, g, protos, eff)
+	})
+	if err != nil {
+		return err
 	}
+	return renderFig6(o, blockBytes, ws, protos, flattenGroups(groups, len(protos)), expandGroupFailures(gFails, len(protos)))
+}
 
+// renderFig6 writes the Fig. 6 panel for the (workload, protocol) grid
+// cells, laid out workload-major.
+func renderFig6(o Options, blockBytes int, ws []*workload.Workload, protos []string, cells []coherence.Result, fails *sweep.Failures) error {
 	fmt.Fprintf(o.Out, "Figure 6 (B=%d bytes): effect of invalidation scheduling on the miss rate\n", blockBytes)
 	for wi, w := range ws {
 		results := cells[wi*len(protos) : (wi+1)*len(protos)]
@@ -138,8 +113,8 @@ func Fig6(o Options, blockBytes int) error {
 }
 
 // runProtocols replays one generation of the workload trace through all the
-// named protocols simultaneously: the serial single-pass reference the
-// sweep engine's per-protocol cells are tested against.
+// named protocols, each a plain simulator on the serial drive: the
+// reference the fused Fig. 6 cells are tested against.
 func runProtocols(w *workload.Workload, g mem.Geometry, protos []string) ([]coherence.Result, error) {
 	sims := make([]coherence.Simulator, len(protos))
 	consumers := make([]trace.Consumer, len(protos))

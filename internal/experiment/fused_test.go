@@ -1,51 +1,108 @@
 package experiment
 
 // Driver-level fused differential: the fused drivers (Fig. 5, Fig. 6,
-// Table 1) must render byte-identical reports with fusion on and off,
+// Table 1) must render byte-identical reports to the same grid computed
+// cell by cell with the per-cell reference classifiers and simulators,
 // across the full parallelism x shards matrix — the end-to-end consequence
 // of the fused classifiers' bit-for-bit equivalence.
 
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/coherence"
+	"repro/internal/core"
+	"repro/internal/mem"
+	"repro/internal/workload"
 )
 
-// fusedDrivers enumerates the drivers with a fused path.
+// fusedDrivers enumerates the fused drivers, each with a reference that
+// renders its report from one replay per grid cell through the per-cell
+// references: core.Classify, ClassifyEggers and ClassifyTorrellas per
+// (workload, block), and runProtocols per workload.
 var fusedDrivers = []struct {
 	name string
 	run  func(Options) error
+	ref  func(t *testing.T, o Options, ws []*workload.Workload) error
 }{
-	{"Fig5", func(o Options) error { o.Blocks = []int{8, 64, 1024}; return Fig5(o) }},
-	{"Fig6", func(o Options) error { return Fig6(o, 64) }},
-	{"Table1", Table1},
+	{"Fig5", func(o Options) error { o.Blocks = []int{8, 64, 1024}; return Fig5(o) },
+		func(t *testing.T, o Options, ws []*workload.Workload) error {
+			blocks := []int{8, 64, 1024}
+			var cells []fig5Cell
+			for _, w := range ws {
+				for _, b := range blocks {
+					counts, refs, err := core.Classify(w.Reader(), mem.MustGeometry(b))
+					if err != nil {
+						t.Fatal(err)
+					}
+					cells = append(cells, fig5Cell{counts: counts, refs: refs})
+				}
+			}
+			return renderFig5(o, ws, blocks, cells, nil)
+		}},
+	{"Fig6", func(o Options) error { return Fig6(o, 64) },
+		func(t *testing.T, o Options, ws []*workload.Workload) error {
+			var cells []coherence.Result
+			for _, w := range ws {
+				res, err := runProtocols(w, mem.MustGeometry(64), o.Protocols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cells = append(cells, res...)
+			}
+			return renderFig6(o, 64, ws, o.Protocols, cells, nil)
+		}},
+	{"Table1", Table1,
+		func(t *testing.T, o Options, ws []*workload.Workload) error {
+			blocks := []int{32, 1024}
+			var cells []table1Cell
+			for _, w := range ws {
+				for _, b := range blocks {
+					g := mem.MustGeometry(b)
+					ours, _, err := core.Classify(w.Reader(), g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					eggers, _, err := core.ClassifyEggers(w.Reader(), g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					torr, _, err := core.ClassifyTorrellas(w.Reader(), g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cells = append(cells, table1Cell{ours: ours, eggers: eggers, torr: torr})
+				}
+			}
+			return renderTable1(o, ws, blocks, cells, nil)
+		}},
 }
 
 // TestFusedDriversMatchPerCell: for every fused driver, every (-j, -shards)
-// combination of the fused path renders exactly the serial per-cell
-// report.
+// combination renders exactly the report the per-cell references give.
 func TestFusedDriversMatchPerCell(t *testing.T) {
 	for _, d := range fusedDrivers {
 		t.Run(d.name, func(t *testing.T) {
 			var want bytes.Buffer
 			o := boundedOpts(&want, 1)
-			o.NoFuse = true
-			if err := d.run(o); err != nil {
+			ws, err := getWorkloads(o.Workloads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.ref(t, o, ws); err != nil {
 				t.Fatal(err)
 			}
 			for _, par := range []int{1, 8} {
 				for _, shards := range []int{1, 8} {
-					for _, noFuse := range []bool{false, true} {
-						var got bytes.Buffer
-						o := boundedOpts(&got, par)
-						o.Shards = shards
-						o.NoFuse = noFuse
-						if err := d.run(o); err != nil {
-							t.Fatalf("j=%d shards=%d fused=%v: %v", par, shards, !noFuse, err)
-						}
-						if !bytes.Equal(want.Bytes(), got.Bytes()) {
-							t.Errorf("j=%d shards=%d fused=%v output differs from serial per-cell:\n%s\nvs\n%s",
-								par, shards, !noFuse, got.String(), want.String())
-						}
+					var got bytes.Buffer
+					o := boundedOpts(&got, par)
+					o.Shards = shards
+					if err := d.run(o); err != nil {
+						t.Fatalf("j=%d shards=%d: %v", par, shards, err)
+					}
+					if !bytes.Equal(want.Bytes(), got.Bytes()) {
+						t.Errorf("j=%d shards=%d output differs from the per-cell reference:\n%s\nvs\n%s",
+							par, shards, got.String(), want.String())
 					}
 				}
 			}

@@ -50,6 +50,8 @@ func Large(o Options) error {
 		}
 	}
 
+	// One sweep cell per (workload, block, protocol): a fused row would keep
+	// every protocol's simulator live in one cell over the large data sets.
 	cache := o.traceCache()
 	perBlock := len(protos)
 	perWorkload := len(largeBlocks) * perBlock
@@ -58,11 +60,16 @@ func Large(o Options) error {
 		g := geos[i%perWorkload/perBlock]
 		proto := protos[i%perBlock]
 		defer replaySpan(ctx, w.Name, proto, largeBlocks[i%perWorkload/perBlock]).End()
-		r, err := cache.ReaderContext(ctx, w.Name)
+		eff := o.shardsPerCell()
+		open, err := o.shardSource(ctx, cache, w.Name, g, eff)
 		if err != nil {
 			return coherence.Result{}, err
 		}
-		return coherence.RunShardedContext(ctx, proto, r, g, o.shardsPerCell())
+		res, err := coherence.RunProtocolsShardedOpen(ctx, open, w.Procs, g, []string{proto}, eff)
+		if err != nil {
+			return coherence.Result{}, err
+		}
+		return res[0], nil
 	})
 	if err != nil {
 		return err

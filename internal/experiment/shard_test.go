@@ -6,9 +6,13 @@ package experiment
 // property the differential suites check per consumer.
 
 import (
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/tracestore"
+	"repro/internal/workload"
 )
 
 // renderAt runs one driver with the given parallelism and shard count.
@@ -47,6 +51,39 @@ func TestDriversShardInvariant(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFiniteSweepShardedPackedFile pins the finite driver to whole-stream
+// readers: its partition is keyed by cache set, not by the block residue
+// the packed-trace segment skip filters on, so a file-backed run at a shard
+// count that is not a power of two must still render the serial bytes. The
+// tiny segments span few blocks each, so a block-keyed skip would drop
+// references a shard owns.
+func TestFiniteSweepShardedPackedFile(t *testing.T) {
+	w, err := workload.Get("LU32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "LU32.umt")
+	if _, err := w.PackFile(path, tracestore.WriterOptions{SegmentRefs: 16}); err != nil {
+		t.Fatal(err)
+	}
+	files, err := OpenTraceFiles(map[string]string{"LU32": path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer files.Close()
+	render := func(shards int) string {
+		var sb strings.Builder
+		o := Options{Out: &sb, Workloads: []string{"LU32"}, Parallelism: 1, Shards: shards, TraceFiles: files}
+		if err := FiniteSweep(o, 64, 4); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	if want, got := render(1), render(3); got != want {
+		t.Errorf("file-backed finite sweep at -shards 3 differs from serial:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 

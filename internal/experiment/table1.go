@@ -8,6 +8,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/report"
 	"repro/internal/sweep"
+	"repro/internal/workload"
 )
 
 // table1Paper holds the counts the paper's Table 1 reports, for side-by-side
@@ -35,8 +36,8 @@ type table1Cell struct {
 // and false-sharing misses under the three classifications, for the large
 // data sets at block sizes of 32 and 1024 bytes. With Quick, the small data
 // sets are used instead (and no paper reference column is available). Each
-// (workload, block) cell drives the three classifiers over one trace replay
-// on the sweep engine.
+// workload is one sweep cell whose fused replay drives the three
+// classifiers at both block sizes.
 func Table1(o Options) error {
 	defer driverSpan("table1").End()
 	defaults := []string{"LU200", "MP3D10000"}
@@ -59,55 +60,36 @@ func Table1(o Options) error {
 		geos[i] = g
 	}
 
+	// One fused sweep cell per workload: both block sizes and all three
+	// schemes off one pass (per shard) over the trace.
 	cache := o.traceCache()
-	var cells []table1Cell
-	var fails *sweep.Failures
-	if o.fused() {
-		// One fused sweep cell per workload: both block sizes and all three
-		// schemes off one pass (per shard) over the trace.
-		groups, gFails, err := mapCells(o, len(ws), func(ctx context.Context, wi int) ([]table1Cell, error) {
-			w := ws[wi]
-			defer replaySpan(ctx, w.Name, "fused-tri", 0).End()
-			eff := o.shardsPerCell()
-			open, err := o.shardSource(ctx, cache, w.Name, core.CoarsestGeometry(geos), eff)
-			if err != nil {
-				return nil, err
-			}
-			tri, err := classifyAllFused(ctx, open, w.Procs, geos, eff)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]table1Cell, len(geos))
-			for bi := range geos {
-				out[bi] = table1Cell{ours: tri.ours[bi], eggers: tri.eggers[bi], torr: tri.torr[bi]}
-			}
-			return out, nil
-		})
+	groups, gFails, err := mapCells(o, len(ws), func(ctx context.Context, wi int) ([]table1Cell, error) {
+		w := ws[wi]
+		defer replaySpan(ctx, w.Name, "fused-tri", 0).End()
+		eff := o.shardsPerCell()
+		open, err := o.shardSource(ctx, cache, w.Name, core.CoarsestGeometry(geos), eff)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		cells = flattenGroups(groups, len(blocks))
-		fails = expandGroupFailures(gFails, len(blocks))
-	} else {
-		var err error
-		cells, fails, err = mapCells(o, len(ws)*len(blocks), func(ctx context.Context, i int) (table1Cell, error) {
-			w, g := ws[i/len(blocks)], geos[i%len(blocks)]
-			defer replaySpan(ctx, w.Name, "tri", blocks[i%len(blocks)]).End()
-			r, err := cache.ReaderContext(ctx, w.Name)
-			if err != nil {
-				return table1Cell{}, err
-			}
-			tri, err := classifyAll(ctx, r, w.Procs, g, o.shardsPerCell())
-			if err != nil {
-				return table1Cell{}, err
-			}
-			return table1Cell{ours: tri.ours, eggers: tri.eggers, torr: tri.torr}, nil
-		})
+		tri, err := classifyAllFused(ctx, open, w.Procs, geos, eff)
 		if err != nil {
-			return err
+			return nil, err
 		}
+		out := make([]table1Cell, len(geos))
+		for bi := range geos {
+			out[bi] = table1Cell{ours: tri.ours[bi], eggers: tri.eggers[bi], torr: tri.torr[bi]}
+		}
+		return out, nil
+	})
+	if err != nil {
+		return err
 	}
+	return renderTable1(o, ws, blocks, flattenGroups(groups, len(blocks)), expandGroupFailures(gFails, len(blocks)))
+}
 
+// renderTable1 writes Table 1 for the (workload, block) grid cells, laid
+// out workload-major.
+func renderTable1(o Options, ws []*workload.Workload, blocks []int, cells []table1Cell, fails *sweep.Failures) error {
 	fmt.Fprintln(o.Out, "Table 1: miss counts under the three classifications")
 	fmt.Fprintln(o.Out)
 	tb := report.NewTable("workload", "B", "class", "scheme", "misses", "paper")

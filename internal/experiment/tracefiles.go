@@ -14,10 +14,10 @@ import (
 
 // TraceFileSet binds workload names to opened packed trace files (the
 // CLI's -trace-file NAME=PATH bindings). A bound workload replays from its
-// file instead of regenerating: serial and demux-sharded paths stream it
-// through the trace cache's out-of-core bypass, and the fused shard-native
-// paths open segment-skipping readers directly (see Options.shardSource).
-// Close the set when the run is done.
+// file instead of regenerating: cells that partition by cache block open
+// segment-skipping readers directly (see Options.shardSource), and every
+// other replay streams the file through the trace cache's out-of-core
+// bypass. Close the set when the run is done.
 type TraceFileSet struct {
 	files map[string]*tracestore.File
 	paths map[string]string
@@ -124,9 +124,9 @@ func (s *TraceFileSet) Close() error {
 }
 
 // register wires every bound file into the cache as a stream-only source,
-// so all the cache-fed replay paths (serial cells, demux sharding, the
-// non-fused grids) read from the file with O(segment) resident memory
-// instead of materializing or regenerating. Safe on a nil set.
+// so all the cache-fed replay paths (the finite-cache sweep and the
+// drivers that do not shard) read from the file with O(segment) resident
+// memory instead of materializing or regenerating. Safe on a nil set.
 func (s *TraceFileSet) register(c *sweep.TraceCache) {
 	if s == nil {
 		return
@@ -137,14 +137,16 @@ func (s *TraceFileSet) register(c *sweep.TraceCache) {
 	}
 }
 
-// shardSource resolves the per-shard opener the fused shard-native runners
-// need for one workload's trace. A file-backed workload opens
-// segment-skipping tracestore readers: each shard reads only the segments
-// whose per-segment index intersects its residue class of g's block
-// partition (plus segments carrying synchronization, which every shard
-// observes). Anything else adapts the cache's source factory — independent
-// equivalent readers, one per shard. g and shards must match the partition
-// key the runner uses (trace.BlockShard(g, shards)).
+// shardSource resolves the per-shard opener the block-partitioned runners
+// (core.RunShardedOpen and everything built on it) need for one workload's
+// trace. A file-backed workload opens segment-skipping tracestore readers:
+// each shard reads only the segments whose per-segment index intersects
+// its residue class of g's block partition (plus segments carrying
+// synchronization, which every shard observes); at shards <= 1 every
+// segment is kept. Anything else adapts the cache's source factory —
+// independent equivalent readers, one per shard. g and shards must match
+// the partition key the runner uses (trace.BlockShard(g, shards)), so a
+// runner with any other key (the finite cache's set key) must not use it.
 func (o Options) shardSource(ctx context.Context, cache *sweep.TraceCache, name string, g mem.Geometry, shards int) (func(int) (trace.Reader, error), error) {
 	if f := o.TraceFiles.File(name); f != nil {
 		return func(shard int) (trace.Reader, error) {

@@ -3,8 +3,8 @@
 // deterministic way — erroring after a fixed number of references,
 // corrupting reference fields, stalling mid-stream, or failing Close — so
 // the robustness suite can assert how every layer above the reader (the
-// replay pumps, the block-sharded demux, the sweep engine, the experiment
-// drivers) reacts: typed errors propagate via errors.Is/As, no path
+// replay pumps, the block-sharded consumers, the sweep engine, the
+// experiment drivers) reacts: typed errors propagate via errors.Is/As, no path
 // deadlocks or leaks goroutines, and partial output is never presented as
 // complete.
 package fault
@@ -19,7 +19,7 @@ import (
 )
 
 // ErrInjected is the sentinel every injected failure wraps. Tests match it
-// with errors.Is after an error has crossed the demux, sweep and driver
+// with errors.Is after an error has crossed the shard, sweep and driver
 // layers.
 var ErrInjected = errors.New("fault: injected failure")
 

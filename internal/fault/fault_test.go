@@ -17,7 +17,7 @@ import (
 
 // The differential robustness suite: every injector runs under every
 // parallelism/shard combination the CLI exposes, and the assertions are
-// always the same three — typed errors survive the trip up through demux,
+// always the same three — typed errors survive the trip up through shard,
 // sweep and driver layers (errors.Is/As), nothing deadlocks or leaks
 // goroutines, and partial output is never presented as complete.
 
@@ -68,14 +68,21 @@ func waitForGoroutines(t *testing.T, base int) {
 	}
 }
 
+// shardedClassify block-shard-classifies the test trace with every shard
+// replaying its own reader from open.
+func shardedClassify(ctx context.Context, shards int, open func() trace.Reader) (core.Counts, error) {
+	counts, _, err := core.ShardedClassify(ctx, func(int) (trace.Reader, error) { return open(), nil },
+		testTrace().Procs, geometry, shards)
+	return counts, err
+}
+
 // classifySweep runs cells sweep cells at the given parallelism, where each
-// cell block-shard-classifies a reader produced by open.
+// cell block-shard-classifies readers produced by open.
 func classifySweep(ctx context.Context, cells, par, shards int, keepGoing bool,
 	open func(cell int) trace.Reader) ([]core.Counts, error) {
 	return sweep.Run(ctx, cells, sweep.Options{Parallelism: par, KeepGoing: keepGoing},
 		func(ctx context.Context, i int) (core.Counts, error) {
-			counts, _, err := core.ShardedClassifyContext(ctx, open(i), geometry, shards)
-			return counts, err
+			return shardedClassify(ctx, shards, func() trace.Reader { return open(i) })
 		})
 }
 
@@ -114,7 +121,7 @@ func TestErrorAfterPropagates(t *testing.T) {
 // zero — a partial grid is never passed off as complete.
 func TestKeepGoingIsolatesFailedCells(t *testing.T) {
 	tr := testTrace()
-	clean, _, err := core.ShardedClassifyContext(context.Background(), tr.Reader(), geometry, 1)
+	clean, err := shardedClassify(context.Background(), 1, tr.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +167,7 @@ func TestKeepGoingIsolatesFailedCells(t *testing.T) {
 // classifier; the sweep engine must turn that panic into a typed CellError
 // carrying the stack instead of crashing the process. Shards stay at 1 so
 // the panic fires on the cell goroutine the sweep guards — panic isolation
-// is a sweep-cell contract, not a demux one.
+// is a sweep-cell contract, not a shard-consumer one.
 func TestScrambledProcsPanicIsRecovered(t *testing.T) {
 	tr := testTrace()
 	for _, par := range []int{1, 8} {
@@ -222,8 +229,8 @@ func TestFlakyClosePropagates(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			_, _, err := core.ShardedClassifyContext(context.Background(),
-				fault.FlakyClose(tr.Reader(), nil), geometry, shards)
+			_, err := shardedClassify(context.Background(), shards,
+				func() trace.Reader { return fault.FlakyClose(tr.Reader(), nil) })
 			if !errors.Is(err, fault.ErrInjected) {
 				t.Errorf("errors.Is(err, ErrInjected) = false for %v", err)
 			}
@@ -238,18 +245,19 @@ func TestFlakyClosePropagates(t *testing.T) {
 
 // TestCorruptAddrsIsDeterministicAndVisible: silent in-memory corruption
 // must change the classification (it would be a useless injector if it
-// didn't) and must change it identically at every shard count — the
-// corruption happens before the demux, so shard invariance still holds.
+// didn't) and must change it identically at every shard count — every
+// shard's reader is corrupted identically before its shard filter, so
+// shard invariance still holds.
 func TestCorruptAddrsIsDeterministicAndVisible(t *testing.T) {
 	tr := testTrace()
-	clean, _, err := core.ShardedClassifyContext(context.Background(), tr.Reader(), geometry, 1)
+	clean, err := shardedClassify(context.Background(), 1, tr.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var corrupted []core.Counts
 	for _, shards := range []int{1, 8} {
-		counts, _, err := core.ShardedClassifyContext(context.Background(),
-			fault.CorruptAddrs(tr.Reader(), 100), geometry, shards)
+		counts, err := shardedClassify(context.Background(), shards,
+			func() trace.Reader { return fault.CorruptAddrs(tr.Reader(), 100) })
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}

@@ -6,10 +6,12 @@ package finite
 // xorshift stream is not block-decomposable and must fall back to serial.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
@@ -26,6 +28,13 @@ func randomFiniteTrace(rng *rand.Rand, procs, n, addrRange int) *trace.Trace {
 		}
 	}
 	return tr
+}
+
+// shardedClassify runs ShardedClassify with every shard replaying its own
+// reader over the whole of tr.
+func shardedClassify(tr *trace.Trace, g mem.Geometry, cfg Config, shards int) (core.Counts, uint64, error) {
+	open := func(int) (trace.Reader, error) { return tr.Reader(), nil }
+	return ShardedClassify(context.Background(), open, tr.Procs, g, cfg, shards)
 }
 
 // TestShardedFiniteMatchesSerial sweeps policies, capacities and shard
@@ -54,7 +63,7 @@ func TestShardedFiniteMatchesSerial(t *testing.T) {
 				return false
 			}
 			for _, n := range []int{1, 2, 3, 8, 64} {
-				got, refs, err := ShardedClassify(tr.Reader(), g, cfg, n)
+				got, refs, err := shardedClassify(tr, g, cfg, n)
 				if err != nil {
 					t.Log(err)
 					return false
@@ -80,7 +89,7 @@ func TestShardedFiniteEssentialInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tr := randomFiniteTrace(rng, 4, 1200, 512)
 	for _, n := range []int{1, 4, 16} {
-		counts, refs, err := ShardedClassify(tr.Reader(), g, cfg, n)
+		counts, refs, err := shardedClassify(tr, g, cfg, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +125,7 @@ func TestShardedFiniteRandomFallsBackToSerial(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2, 4, 8, 64} {
 		for rep := 0; rep < 2; rep++ { // twice: the seeded stream must replay identically
-			got, refs, err := ShardedClassify(tr.Reader(), g, cfg, shards)
+			got, refs, err := shardedClassify(tr, g, cfg, shards)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,11 +138,18 @@ func TestShardedFiniteRandomFallsBackToSerial(t *testing.T) {
 }
 
 // TestShardedFiniteBadConfig pins the error path: an invalid cache shape
-// must surface before any goroutine starts.
+// must surface before any reader is opened or any goroutine starts.
 func TestShardedFiniteBadConfig(t *testing.T) {
-	tr := trace.New(2, trace.L(0, 0))
+	opened := false
+	open := func(int) (trace.Reader, error) {
+		opened = true
+		return trace.New(2, trace.L(0, 0)).Reader(), nil
+	}
 	g := mem.MustGeometry(16)
-	if _, _, err := ShardedClassify(tr.Reader(), g, Config{CapacityBytes: 100, Assoc: 3}, 4); err == nil {
+	if _, _, err := ShardedClassify(context.Background(), open, 2, g, Config{CapacityBytes: 100, Assoc: 3}, 4); err == nil {
 		t.Fatal("expected an error for a non-power-of-two cache shape")
+	}
+	if opened {
+		t.Error("reader opened despite an invalid cache shape")
 	}
 }

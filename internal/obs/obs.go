@@ -218,16 +218,6 @@ const (
 	NameDriveCloseErrs = "trace.drive.close_errors"
 	NameCollectRefs    = "trace.collect.refs"
 
-	// trace.Demux (package trace). The queue-depth histogram samples each
-	// shard channel's occupancy after every batch send: a timing metric,
-	// since occupancy depends on scheduling.
-	NameDemuxRefsIn     = "trace.demux.refs_in"
-	NameDemuxDataRouted = "trace.demux.data_routed"
-	NameDemuxBroadcasts = "trace.demux.sync_broadcasts"
-	NameDemuxShardRefs  = "trace.demux.shard_refs"
-	NameDemuxBlockedNs  = "trace.demux.blocked_send_ns"
-	NameDemuxQueueDepth = "trace.demux.queue_depth"
-
 	// tracestore readahead Reader (package tracestore): segments decoded,
 	// per-segment read+decode wall time, and the results-queue occupancy
 	// sampled as each segment ships (0 = the replayer is waiting on the

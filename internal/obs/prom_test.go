@@ -22,9 +22,9 @@ var promLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{le="[^"]+"\})? 
 func TestWritePrometheusConformance(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("trace.drive.refs").Add(123)
-	reg.TimingCounter("trace.demux.blocked_send_ns").Add(456)
+	reg.TimingCounter("tracestore.segment_read_ns").Add(456)
 	reg.Gauge("run.refs_per_sec").Set(1.5e6)
-	h := reg.TimingHistogram("trace.demux.queue_depth", []uint64{0, 1, 2, 3})
+	h := reg.TimingHistogram("tracestore.readahead.occupancy", []uint64{0, 1, 2, 3})
 	for _, v := range []uint64{0, 0, 1, 3, 4, 9} { // 9 and 4 overflow
 		h.Observe(v)
 	}
@@ -105,13 +105,13 @@ func TestWritePrometheusConformance(t *testing.T) {
 	if typ := typed["uselessmiss_trace_drive_refs_total"]; typ != "counter" {
 		t.Errorf("deterministic counter type = %q", typ)
 	}
-	if typ := typed["uselessmiss_trace_demux_blocked_send_ns_total"]; typ != "counter" {
+	if typ := typed["uselessmiss_tracestore_segment_read_ns_total"]; typ != "counter" {
 		t.Errorf("timing counter type = %q", typ)
 	}
 	if typ := typed["uselessmiss_run_refs_per_sec"]; typ != "gauge" {
 		t.Errorf("gauge type = %q", typ)
 	}
-	if typ := typed["uselessmiss_trace_demux_queue_depth"]; typ != "histogram" {
+	if typ := typed["uselessmiss_tracestore_readahead_occupancy"]; typ != "histogram" {
 		t.Errorf("histogram type = %q", typ)
 	}
 
@@ -123,7 +123,7 @@ func TestWritePrometheusConformance(t *testing.T) {
 	}
 
 	// Histogram: cumulative buckets, monotone, +Inf == _count, sum exact.
-	hist := "uselessmiss_trace_demux_queue_depth"
+	hist := "uselessmiss_tracestore_readahead_occupancy"
 	var prev float64
 	for _, le := range []string{"0", "1", "2", "3", "+Inf"} {
 		key := fmt.Sprintf(`%s_bucket{le="%s"}`, hist, le)

@@ -12,14 +12,15 @@ import (
 type SpanRecord struct {
 	// Op names what the span measured (see Op.String).
 	Op string `json:"op"`
-	// ID is the process-unique span id (for flow records, the flow id).
+	// ID is the process-unique span id.
 	ID uint64 `json:"id"`
 	// Parent is the enclosing span's id on the same track, 0 at top level.
 	Parent uint64 `json:"parent,omitempty"`
 	// StartNs/DurNs are relative to the recording epoch.
 	StartNs int64 `json:"start_ns"`
 	DurNs   int64 `json:"dur_ns"`
-	// Flow marks flow endpoint records: "out" or "in".
+	// Flow is always empty: no recorded op is a flow endpoint. The field
+	// stays for readers that still skip flow records.
 	Flow string `json:"flow,omitempty"`
 
 	Fields Fields `json:"-"`
@@ -70,21 +71,14 @@ func (r *Recorder) snapshot() *Snapshot {
 			Spans: make([]SpanRecord, 0, kept)}
 		for i := uint64(0); i < kept; i++ {
 			rec := t.ring[(t.n-kept+i)%uint64(len(t.ring))]
-			sr := SpanRecord{
+			ts.Spans = append(ts.Spans, SpanRecord{
 				Op:      rec.op.String(),
 				ID:      rec.id,
 				Parent:  rec.parent,
 				StartNs: rec.start,
 				DurNs:   rec.end - rec.start,
 				Fields:  rec.fields,
-			}
-			switch rec.op {
-			case opFlowOut:
-				sr.Flow = "out"
-			case opFlowIn:
-				sr.Flow = "in"
-			}
-			ts.Spans = append(ts.Spans, sr)
+			})
 		}
 		sort.SliceStable(ts.Spans, func(a, b int) bool {
 			x, y := ts.Spans[a], ts.Spans[b]
@@ -153,9 +147,8 @@ var maskOf = func() map[string]uint8 {
 }()
 
 // traceEvent is one Chrome trace_event JSON object. The format is the
-// Trace Event Format's JSON flavor: "X" complete events carry ts+dur,
-// "M" metadata events name the threads, and "s"/"f" pairs with a shared
-// id draw flow arrows between tracks. Perfetto and chrome://tracing load
+// Trace Event Format's JSON flavor: "X" complete events carry ts+dur and
+// "M" metadata events name the threads. Perfetto and chrome://tracing load
 // the {"traceEvents": [...]} container directly.
 type traceEvent struct {
 	Name string         `json:"name"`
@@ -165,16 +158,13 @@ type traceEvent struct {
 	Dur  *float64       `json:"dur,omitempty"`
 	Pid  int            `json:"pid"`
 	Tid  int            `json:"tid"`
-	ID   *uint64        `json:"id,omitempty"`
-	BP   string         `json:"bp,omitempty"`
 	Args map[string]any `json:"args,omitempty"`
 }
 
 // WriteTraceEvent exports the snapshot as Chrome trace_event JSON: one
-// named thread per track, one "X" complete event per span, and "s"/"f"
-// flow pairs for the recorded flow endpoints. Events are globally sorted
-// by timestamp (metadata first), so viewers and the schema test see a
-// monotonic stream.
+// named thread per track and one "X" complete event per span. Events are
+// globally sorted by timestamp (metadata first), so viewers and the schema
+// test see a monotonic stream.
 func (s *Snapshot) WriteTraceEvent(w io.Writer) error {
 	var meta, events []traceEvent
 	for _, ts := range s.Tracks {
@@ -187,18 +177,6 @@ func (s *Snapshot) WriteTraceEvent(w io.Writer) error {
 		)
 		for _, sr := range ts.Spans {
 			us := float64(sr.StartNs) / 1e3
-			if sr.Flow != "" {
-				ph, bp := "s", ""
-				if sr.Flow == "in" {
-					ph, bp = "f", "e"
-				}
-				id := sr.ID
-				events = append(events, traceEvent{
-					Name: "demux.batch", Cat: "flow", Ph: ph, Ts: us,
-					Pid: 1, Tid: tid, ID: &id, BP: bp,
-				})
-				continue
-			}
 			dur := float64(sr.DurNs) / 1e3
 			events = append(events, traceEvent{
 				Name: sr.Op, Cat: "uselessmiss", Ph: "X", Ts: us, Dur: &dur,
@@ -265,7 +243,6 @@ type jsonlSpan struct {
 	Op      string         `json:"op"`
 	ID      uint64         `json:"id"`
 	Parent  uint64         `json:"parent,omitempty"`
-	Flow    string         `json:"flow,omitempty"`
 	StartNs int64          `json:"start_ns"`
 	DurNs   int64          `json:"dur_ns"`
 	Attrs   map[string]any `json:"attrs,omitempty"`
@@ -290,7 +267,7 @@ func (s *Snapshot) WriteJSONL(w io.Writer) error {
 		for _, sr := range ts.Spans {
 			line := jsonlSpan{
 				Track: ts.Label, Tid: ts.ID, Op: sr.Op, ID: sr.ID,
-				Parent: sr.Parent, Flow: sr.Flow,
+				Parent:  sr.Parent,
 				StartNs: sr.StartNs, DurNs: sr.DurNs,
 				Attrs: sr.args(maskOf[sr.Op]),
 			}

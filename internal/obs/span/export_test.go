@@ -4,27 +4,23 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"strconv"
 	"testing"
 )
 
-// buildSnapshot records a small two-track session with nesting and a
-// flow pair, and returns its snapshot.
+// buildSnapshot records a small three-track session with nesting and
+// returns its snapshot.
 func buildSnapshot(t *testing.T) *Snapshot {
 	t.Helper()
 	startForTest(t, 0)
 	root := Root(OpExperiment, Fields{Note: "fig5"})
-	id := NewFlowID()
-	pump := Acquire("demux-pump")
-	psp := pump.Begin(OpDemuxPump, Fields{})
-	pump.FlowOut(id)
+	cell := Acquire("sweep-worker 0")
+	csp := cell.Begin(OpCell, Fields{Cell: 0})
 	work := Acquire("shard-consumer 0")
 	wsp := work.Begin(OpShardConsume, Fields{Shard: 0})
 	work.Begin(OpSegmentIO, Fields{Segment: 3, Depth: 1}).End()
-	work.FlowIn(id)
 	wsp.End()
-	psp.End()
-	Release(pump)
+	csp.End()
+	Release(cell)
 	Release(work)
 	root.End()
 	return StopRecording()
@@ -50,7 +46,6 @@ func TestWriteTraceEventPerfettoShape(t *testing.T) {
 		t.Fatal("no trace events")
 	}
 	names := map[string]bool{}
-	flows := map[string][]float64{} // flow id -> [s count, f count]
 	lastTs := -1.0
 	for _, ev := range doc.TraceEvents {
 		ph, _ := ev["ph"].(string)
@@ -67,38 +62,14 @@ func TestWriteTraceEventPerfettoShape(t *testing.T) {
 				t.Fatalf("X event without non-negative dur: %v", ev)
 			}
 			names[ev["name"].(string)] = true
-		case "s", "f":
-			id, ok := ev["id"].(float64)
-			if !ok {
-				t.Fatalf("flow event without id: %v", ev)
-			}
-			k := strconv.FormatFloat(id, 'g', -1, 64)
-			c := flows[k]
-			if len(c) == 0 {
-				c = []float64{0, 0}
-			}
-			if ph == "s" {
-				c[0]++
-			} else {
-				c[1]++
-			}
-			flows[k] = c
 		default:
 			t.Fatalf("unexpected ph %q", ph)
 		}
 	}
-	for _, want := range []string{"experiment", "demux.pump", "shard.consume", "tracestore.segment_io"} {
+	for _, want := range []string{"experiment", "sweep.cell", "shard.consume", "tracestore.segment_io"} {
 		if !names[want] {
 			t.Fatalf("missing X event %q; have %v", want, names)
 		}
-	}
-	for id, c := range flows {
-		if c[0] != c[1] {
-			t.Fatalf("flow %q unbalanced: %v s vs %v f", id, c[0], c[1])
-		}
-	}
-	if len(flows) != 1 {
-		t.Fatalf("got %d flows, want 1", len(flows))
 	}
 	// Thread metadata names every track.
 	labels := map[string]bool{}
@@ -108,7 +79,7 @@ func TestWriteTraceEventPerfettoShape(t *testing.T) {
 			labels[args["name"].(string)] = true
 		}
 	}
-	for _, want := range []string{"main", "demux-pump", "shard-consumer 0"} {
+	for _, want := range []string{"main", "sweep-worker 0", "shard-consumer 0"} {
 		if !labels[want] {
 			t.Fatalf("missing thread_name %q; have %v", want, labels)
 		}

@@ -8,7 +8,7 @@ import (
 )
 
 // TestConcurrentTracksRace hammers the recorder from many goroutines —
-// each with its own Acquired track, plus shared flow-id allocation and
+// each with its own Acquired track, plus shared span-id allocation and
 // track recycling — and checks the snapshot is sane. Run under -race this
 // is the recorder's data-race suite: single-writer tracks, the locked
 // freelist and the atomic id sequences are the only sharing.
@@ -29,7 +29,7 @@ func TestConcurrentTracksRace(t *testing.T) {
 				for i := 0; i < spansPerWorker; i++ {
 					sp := tr.Begin(OpCell, Fields{Cell: int32(i)})
 					inner := tr.Begin(OpDrive, Fields{})
-					tr.FlowOut(NewFlowID())
+					tr.Emit(OpCellWait, Fields{Cell: int32(i)}, 0)
 					inner.End()
 					sp.End()
 				}
@@ -50,7 +50,7 @@ func TestConcurrentTracksRace(t *testing.T) {
 	for _, ts := range snap.Tracks {
 		total += uint64(len(ts.Spans)) + ts.Lost
 	}
-	// 3 records per iteration (2 spans + 1 flow endpoint).
+	// 3 records per iteration (2 spans + 1 emitted span).
 	if want := uint64(workers * rounds * spansPerWorker * 3); total != want {
 		t.Fatalf("retained+lost = %d records, want %d", total, want)
 	}

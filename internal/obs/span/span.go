@@ -62,8 +62,6 @@ const (
 	OpDrive
 	// OpShardConsume is one shard consumer's drive in a sharded run.
 	OpShardConsume
-	// OpDemuxPump is the demux pump goroutine's full routing pass.
-	OpDemuxPump
 	// OpResolve is a fused classifier's batch resolve phase.
 	OpResolve
 	// OpLevelSweep is a fused classifier's per-level batch sweep.
@@ -71,10 +69,6 @@ const (
 	// OpSegmentIO is one tracestore segment read+decode+CRC on the
 	// readahead worker.
 	OpSegmentIO
-	// opFlowOut / opFlowIn are instantaneous flow endpoints linking a
-	// producer track to a consumer track (demux pump → shard consumer).
-	opFlowOut
-	opFlowIn
 	numOps
 )
 
@@ -89,12 +83,9 @@ var opNames = [numOps]string{
 	OpReplay:       "cell.replay",
 	OpDrive:        "trace.drive",
 	OpShardConsume: "shard.consume",
-	OpDemuxPump:    "demux.pump",
 	OpResolve:      "fused.resolve",
 	OpLevelSweep:   "fused.level_sweep",
 	OpSegmentIO:    "tracestore.segment_io",
-	opFlowOut:      "flow.out",
-	opFlowIn:       "flow.in",
 }
 
 // String returns the op's exported event name.
@@ -126,8 +117,8 @@ type Fields struct {
 	Segment int32
 	// Level is the fused classifier's internal level index.
 	Level int32
-	// Depth is a queue occupancy sampled at span start (readahead
-	// results queue, demux channel).
+	// Depth is a queue occupancy sampled at span start (the tracestore
+	// readahead results queue).
 	Depth int32
 }
 
@@ -157,7 +148,7 @@ var opFieldMask = [numOps]uint8{
 type record struct {
 	start  int64 // ns since the recorder's epoch
 	end    int64
-	id     uint64 // span id, or flow id for flow records
+	id     uint64 // span id
 	parent uint64 // enclosing span's id, 0 at top level
 	fields Fields
 	op     Op
@@ -207,7 +198,6 @@ type Recorder struct {
 	ringLen int
 
 	spanSeq atomic.Uint64
-	flowSeq atomic.Uint64
 
 	mu     sync.Mutex
 	tracks []*Track            // every track ever created, in creation order
@@ -266,16 +256,6 @@ func Now() int64 {
 		return 0
 	}
 	return r.now()
-}
-
-// NewFlowID allocates a process-unique flow id for a FlowOut/FlowIn pair;
-// 0 when recording is off.
-func NewFlowID() uint64 {
-	r := active.Load()
-	if r == nil {
-		return 0
-	}
-	return r.flowSeq.Add(1)
 }
 
 func (r *Recorder) now() int64 { return int64(time.Since(r.epoch)) }
@@ -410,24 +390,6 @@ func (t *Track) Emit(op Op, f Fields, startNs int64) {
 		fields: f,
 		op:     op,
 	})
-}
-
-// FlowOut records the producer endpoint of flow id on this track.
-func (t *Track) FlowOut(id uint64) { t.flow(opFlowOut, id) }
-
-// FlowIn records the consumer endpoint of flow id on this track.
-func (t *Track) FlowIn(id uint64) { t.flow(opFlowIn, id) }
-
-func (t *Track) flow(op Op, id uint64) {
-	if t == nil || id == 0 {
-		return
-	}
-	var parent uint64
-	if n := len(t.open); n > 0 {
-		parent = t.open[n-1].rec.id
-	}
-	now := t.rec.now()
-	t.push(record{start: now, end: now, id: id, parent: parent, op: op})
 }
 
 // push stores a completed record, overwriting the oldest on overflow.

@@ -30,16 +30,11 @@ func TestDisabledPathIsInert(t *testing.T) {
 	if now := Now(); now != 0 {
 		t.Fatalf("Now = %d, want 0 when disabled", now)
 	}
-	if id := NewFlowID(); id != 0 {
-		t.Fatalf("NewFlowID = %d, want 0 when disabled", id)
-	}
 	// All of these must be no-ops on nil receivers / zero values.
 	sp := Root(OpDrive, Fields{Workload: "LU32"})
 	sp.End()
 	var tr *Track
 	tr.Emit(OpCellWait, Fields{}, 0)
-	tr.FlowOut(7)
-	tr.FlowIn(7)
 	ctx := NewContext(context.Background(), nil)
 	if got := FromContext(ctx); got != nil {
 		t.Fatalf("FromContext = %v, want nil", got)
@@ -247,38 +242,6 @@ func TestAcquireReleaseReusesTracks(t *testing.T) {
 	snap := StopRecording()
 	if got := len(snap.Tracks); got != 3 { // main + two workers
 		t.Fatalf("got %d tracks, want 3", got)
-	}
-}
-
-func TestFlowEndpoints(t *testing.T) {
-	startForTest(t, 0)
-	id := NewFlowID()
-	prod := Acquire("pump")
-	cons := Acquire("consumer")
-	prod.FlowOut(id)
-	cons.FlowIn(id)
-	Release(prod)
-	Release(cons)
-	snap := StopRecording()
-	var out, in int
-	for _, ts := range snap.Tracks {
-		for _, s := range ts.Spans {
-			switch s.Flow {
-			case "out":
-				out++
-				if s.ID != id {
-					t.Fatalf("flow-out id = %d, want %d", s.ID, id)
-				}
-			case "in":
-				in++
-				if s.ID != id {
-					t.Fatalf("flow-in id = %d, want %d", s.ID, id)
-				}
-			}
-		}
-	}
-	if out != 1 || in != 1 {
-		t.Fatalf("flow endpoints out=%d in=%d, want 1/1", out, in)
 	}
 }
 

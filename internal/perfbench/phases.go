@@ -7,9 +7,8 @@ import "strings"
 // the report shape is stable across hosts and runs.
 //
 //   - generation: the synthetic workload generators (internal/workload).
-//   - demux:      the block-sharded demux pump and shard routing.
 //   - replay:     reference delivery — batch pumps, slice readers, codecs
-//     (internal/trace outside the demux).
+//     and shard filters (internal/trace).
 //   - classify:   the classifiers, schedules, finite caches and their
 //     dense tables (internal/core, coherence, finite, dense, timing).
 //   - merge:      sharded-result merge and the consumer pool plumbing.
@@ -19,7 +18,7 @@ import "strings"
 //   - other:      everything else (harness overhead, experiment drivers,
 //     sweep orchestration).
 var Phases = []string{
-	"generation", "demux", "replay", "classify", "merge", "render", "runtime", "other",
+	"generation", "replay", "classify", "merge", "render", "runtime", "other",
 }
 
 // phaseRule maps a function-name fragment to a phase. Rules are checked in
@@ -30,14 +29,10 @@ type phaseRule struct {
 }
 
 // phaseRules: name-based rules run before package-prefix rules so the
-// sharded merge fold (which lives in package core/coherence) and the demux
-// machinery (which lives in package trace) attribute to their own phases
-// rather than to classify/replay.
+// sharded merge fold (which lives in package core/coherence) attributes to
+// its own phase rather than to classify.
 var phaseRules = []phaseRule{
 	// Sharded plumbing.
-	{"repro/internal/trace.(*Demux)", "demux"},
-	{"repro/internal/trace.(*demuxShard)", "demux"},
-	{"repro/internal/trace.BlockShard", "demux"},
 	{"repro/internal/core.RunSharded", "merge"},
 	{"repro/internal/coherence.MergeResults", "merge"},
 	{"Merge", "merge"}, // any repro merge helper (checked against repro frames only)

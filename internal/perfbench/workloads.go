@@ -175,21 +175,6 @@ func All() []Workload {
 			},
 		},
 		{
-			Name: "sharded/demux4",
-			Setup: func() (func() (uint64, error), error) {
-				tr, err := collect(benchWorkload)
-				if err != nil {
-					return nil, err
-				}
-				return func() (uint64, error) {
-					if _, _, err := core.ShardedClassify(tr.Reader(), g, 4); err != nil {
-						return 0, err
-					}
-					return uint64(tr.Len()), nil
-				}, nil
-			},
-		},
-		{
 			Name:   "classify/fused-fig5",
 			Pinned: true,
 			Setup: func() (func() (uint64, error), error) {

@@ -46,8 +46,6 @@ type JobSpec struct {
 	// Shards block-shards each cell (the CLI's -shards); clamped to the
 	// server's MaxParallelism.
 	Shards int `json:"shards,omitempty"`
-	// NoFuse disables the fused multi-configuration replay.
-	NoFuse bool `json:"no_fuse,omitempty"`
 	// TimeoutMs caps the job's run time in milliseconds; 0 takes the
 	// server default, and the server's MaxJobTimeout caps it either way.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`

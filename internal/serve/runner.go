@@ -96,7 +96,6 @@ func (s *Server) attempt(ctx context.Context, j *job, attempt int) (err error) {
 		Blocks:      j.spec.Blocks,
 		Parallelism: j.spec.Parallelism,
 		Shards:      j.spec.Shards,
-		NoFuse:      j.spec.NoFuse,
 		Ctx:         ctx,
 	}
 	if chaos {

@@ -112,37 +112,6 @@ func TestNextBatchMatchesNext(t *testing.T) {
 	}
 }
 
-// TestDemuxShardNextBatch asserts the demux shard's batch path yields the
-// same per-shard sequence as its per-ref path.
-func TestDemuxShardNextBatch(t *testing.T) {
-	tr := batchTestTrace()
-	g := mem.MustGeometry(16)
-	const shards = 3
-
-	perRef := make([][]Ref, shards)
-	d := NewDemux(tr.Reader(), shards, BlockShard(g, shards))
-	for i := 0; i < shards; i++ {
-		for {
-			ref, err := d.Shard(i).Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			perRef[i] = append(perRef[i], ref)
-		}
-	}
-
-	d2 := NewDemux(tr.Reader(), shards, BlockShard(g, shards))
-	for i := 0; i < shards; i++ {
-		got := drainBatch(t, d2.Shard(i), 129)
-		if !refsEqual(got, perRef[i]) {
-			t.Fatalf("shard %d: batch drain diverges", i)
-		}
-	}
-}
-
 // errCloser wraps a Reader with a Close that fails.
 type errCloser struct {
 	Reader

@@ -1,7 +1,7 @@
 package trace
 
 // Microbenchmarks for the trace plumbing itself — batch draining, the
-// binary codec, and the demux fan-out — so `make bench` (which sweeps
+// binary codec, and stream generation — so `make bench` (which sweeps
 // ./...) tracks the streaming substrate separately from the classifiers
 // that consume it.
 

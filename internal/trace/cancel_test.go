@@ -1,20 +1,14 @@
 package trace
 
-// Cancellation tests for the replay pumps: the allocation pin promised by
-// DriveContext's doc comment, and the randomized cancel-mid-replay race
-// suite over every worker/shard combination the CLI exposes (run it under
-// -race: the interesting failures are ordering windows in the demux
-// teardown, not deterministic logic).
+// Cancellation tests for the replay pump: the allocation pin promised by
+// DriveContext's doc comment, and a pre-canceled collect. The
+// cancel-mid-replay race suite over sharded pipelines lives in
+// shardopen_test.go.
 
 import (
 	"context"
 	"errors"
-	"io"
-	"math/rand"
-	"runtime"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/mem"
 )
@@ -95,108 +89,4 @@ func (c *closeTrackingReader) Next() (Ref, error) { return c.r.Next() }
 func (c *closeTrackingReader) Close() error {
 	c.closed = true
 	return CloseReader(c.r)
-}
-
-// TestCancelMidReplayRace is the cancellation race suite: for every
-// worker/shard combination, cancel the shared context at a randomized point
-// while the workers replay through demux pipelines, and require that every
-// path winds down — each worker returns either a clean result or the
-// context error (never ErrStopped, never a hang), the source readers are
-// closed, and no goroutine outlives the run.
-func TestCancelMidReplayRace(t *testing.T) {
-	tr := cancelTestTrace(32 << 10)
-	rng := rand.New(rand.NewSource(1))
-	for _, workers := range []int{1, 8} {
-		for _, shards := range []int{1, 8} {
-			name := ""
-			switch {
-			case workers == 1 && shards == 1:
-				name = "w1_s1"
-			case workers == 1:
-				name = "w1_s8"
-			case shards == 1:
-				name = "w8_s1"
-			default:
-				name = "w8_s8"
-			}
-			t.Run(name, func(t *testing.T) {
-				base := runtime.NumGoroutine()
-				for trial := 0; trial < 6; trial++ {
-					delay := time.Duration(rng.Intn(2000)) * time.Microsecond
-					runCancelTrial(t, tr, workers, shards, delay)
-				}
-				waitForGoroutines(t, base)
-			})
-		}
-	}
-}
-
-// runCancelTrial replays tr through `workers` concurrent demux pipelines of
-// `shards` shards each, cancelling the shared context after delay.
-func runCancelTrial(t *testing.T, tr *Trace, workers, shards int, delay time.Duration) {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	timer := time.AfterFunc(delay, cancel)
-	defer timer.Stop()
-
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			src := &closeTrackingReader{r: tr.Reader()}
-			defer func() {
-				if !src.closed {
-					errs[w] = errors.New("source reader left open")
-				}
-			}()
-			if shards <= 1 {
-				errs[w] = DriveContext(ctx, src, &nopBatchConsumer{})
-				return
-			}
-			g, gerr := mem.NewGeometry(64)
-			if gerr != nil {
-				errs[w] = gerr
-				return
-			}
-			d := NewDemuxContext(ctx, src, shards, BlockShard(g, shards))
-			defer d.Close()
-			shardErrs := make([]error, shards)
-			var sw sync.WaitGroup
-			for s := 0; s < shards; s++ {
-				sw.Add(1)
-				go func(s int) {
-					defer sw.Done()
-					shardErrs[s] = DriveContext(ctx, d.Shard(s), &nopBatchConsumer{})
-				}(s)
-			}
-			sw.Wait()
-			for _, e := range shardErrs {
-				if e != nil {
-					errs[w] = e
-					break
-				}
-			}
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		buf := make([]byte, 1<<16)
-		t.Fatalf("replay deadlocked after cancel\n%s", buf[:runtime.Stack(buf, true)])
-	}
-	for w, err := range errs {
-		if err == nil || errors.Is(err, context.Canceled) {
-			continue
-		}
-		if err == io.EOF {
-			t.Errorf("worker %d: raw io.EOF escaped the pump", w)
-			continue
-		}
-		t.Errorf("worker %d: err = %v, want nil or context.Canceled", w, err)
-	}
 }

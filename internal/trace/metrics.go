@@ -5,37 +5,16 @@ import (
 )
 
 // Metric handles for the replay hot path, resolved once at package init so
-// Drive/Collect and the demux pump pay only pre-resolved atomic adds — a
-// handful per 1024-reference batch, never per reference. The demux pump
-// goes further: it accumulates plain-integer locals and flushes them to
-// the counters once per demux, because it already iterates per reference
-// for routing and must not add atomics inside that loop.
+// Drive/Collect pay only pre-resolved atomic adds — a handful per
+// 1024-reference batch, never per reference.
 var (
 	mDriveRefs      = obs.Default.Counter(obs.NameDriveRefs)
 	mDriveBatches   = obs.Default.Counter(obs.NameDriveBatches)
 	mDriveBatchSize = obs.Default.Histogram(obs.NameDriveBatchSize, batchSizeBounds)
 	mDriveCloseErrs = obs.Default.Counter(obs.NameDriveCloseErrs)
 	mCollectRefs    = obs.Default.Counter(obs.NameCollectRefs)
-
-	mDemuxRefsIn     = obs.Default.Counter(obs.NameDemuxRefsIn)
-	mDemuxDataRouted = obs.Default.Counter(obs.NameDemuxDataRouted)
-	mDemuxBroadcasts = obs.Default.Counter(obs.NameDemuxBroadcasts)
-	mDemuxShardRefs  = obs.Default.Histogram(obs.NameDemuxShardRefs, shardRefsBounds)
-	mDemuxBlockedNs  = obs.Default.TimingCounter(obs.NameDemuxBlockedNs)
-	mDemuxQueueDepth = obs.Default.TimingHistogram(obs.NameDemuxQueueDepth, queueDepthBounds)
 )
 
 // batchSizeBounds covers the delivered-batch spectrum up to driveBatch;
 // anything larger lands in the overflow bucket.
 var batchSizeBounds = []uint64{1, 8, 64, 256, 512, driveBatch}
-
-// shardRefsBounds buckets the per-shard delivered-reference totals, one
-// observation per shard per demux, so skew in the block partition shows up
-// as spread across buckets.
-var shardRefsBounds = []uint64{1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000}
-
-// queueDepthBounds covers a shard channel's occupancy in batches after each
-// send: 0..demuxBuffer-1 finite buckets, with a full channel (demuxBuffer)
-// landing in the overflow bucket. A stream of zeros means the consumers
-// outrun the pump; a stream of overflows means the pump outruns them.
-var queueDepthBounds = []uint64{0, 1, 2, demuxBuffer - 1}

@@ -1,38 +1,31 @@
 package trace
 
-import (
-	"context"
-	"fmt"
-	"io"
-	"sync"
-	"time"
+import "repro/internal/mem"
 
-	"repro/internal/mem"
-	"repro/internal/obs/span"
-)
-
-// This file implements the demux stage of the block-sharded classification
-// pipeline: one trace stream is fanned out to N shard streams so that N
-// block-partitioned consumers can classify one big trace concurrently.
+// This file implements the routing stage of the block-sharded
+// classification pipeline: each of N shard consumers opens its own
+// equivalent stream and filters it down to its subsequence with a
+// ShardReader, so N block-partitioned consumers can classify one big trace
+// concurrently.
 //
 // Routing rules:
 //
-//   - Every data reference (load/store) is delivered to exactly one shard,
+//   - Every data reference (load/store) is kept by exactly one shard,
 //     chosen by the ShardFunc. Sharding by cache block (BlockShard) is the
 //     canonical choice: the classifiers' and simulators' state is keyed by
 //     block, so a block partition splits them into independent machines.
-//   - Every synchronization and phase reference is broadcast to all shards,
+//   - Every synchronization and phase reference is kept by every shard,
 //     in stream order relative to the data references, so that
 //     schedule-sensitive consumers (RD/SD/SRD/MAX buffer stores or
 //     invalidations until an acquire or release) observe the same
 //     synchronization points as a serial run.
 //
-// Within each shard the delivered references are a subsequence of the
-// original stream, in original order.
+// Within each shard the kept references are a subsequence of the original
+// stream, in original order.
 
 // ShardFunc maps a data reference to a shard index in [0, n). It is only
 // consulted for loads and stores; synchronization and phase references are
-// broadcast to every shard.
+// kept by every shard.
 type ShardFunc func(Ref) int
 
 // BlockShard returns the canonical ShardFunc for n shards: data references
@@ -42,350 +35,94 @@ func BlockShard(g mem.Geometry, n int) ShardFunc {
 	return func(r Ref) int { return int(uint64(g.BlockOf(r.Addr)) % uint64(n)) }
 }
 
-// demuxBatch is the number of references pumped per channel send; batching
-// amortizes channel synchronization over the hot demux loop.
-const demuxBatch = 512
-
-// demuxBuffer is the per-shard channel capacity, in batches.
-const demuxBuffer = 4
-
-// Demux fans one trace Reader out to n shard Readers, following the routing
-// rules above. The pump goroutine owns the source reader and closes it when
-// the stream ends, when every shard has been closed, or when the Demux
-// itself is closed.
-//
-// Teardown is leak-free in both directions: closing one shard (CloseReader)
-// detaches it without stalling the others, and Close tears the whole demux
-// down — pending shard reads return ErrStopped — and waits for the pump
-// goroutine to exit.
-type Demux struct {
-	shards []*demuxShard
-	stop   chan struct{}
-	once   sync.Once
-	wg     sync.WaitGroup
-	ctx    context.Context
-
-	// flows holds one span flow id per shard (nil when tracing is off).
-	// The pump emits the flow's producer endpoint at the first successful
-	// send into a shard; the shard's consumer goroutine emits the consumer
-	// endpoint via FlowID, drawing a producer→consumer arrow in the trace
-	// viewer.
-	flows []uint64
+// ShardReader filters one trace stream down to a single shard's
+// subsequence under the routing rules above. N ShardReaders over N
+// equivalent streams (fresh deterministic generations, independent readers
+// over a cached trace, or segment-skipping packed-trace readers) partition
+// the trace's data references among them. ShardReader implements
+// BatchReader (filtering whole source batches per call) and io.Closer
+// (closing the source, which stops a generator-backed stream promptly).
+type ShardReader struct {
+	src   Reader
+	br    BatchReader // non-nil when src batches
+	shard int
+	key   ShardFunc
+	buf   []Ref
 }
 
-// FlowID returns shard i's span flow id, or 0 when tracing was off when the
-// demux started (0 makes FlowIn a no-op, so callers need not check).
-func (d *Demux) FlowID(i int) uint64 {
-	if d.flows == nil {
-		return 0
-	}
-	return d.flows[i]
-}
-
-// NewDemux starts the demux of r into n shards routed by key. It panics if
-// n < 1 or key is nil.
-func NewDemux(r Reader, n int, key ShardFunc) *Demux {
-	return NewDemuxContext(context.Background(), r, n, key)
-}
-
-// NewDemuxContext is NewDemux with a cancellation context. Cancellation is
-// observed once per source batch and inside any blocked shard send, so a
-// canceled demux winds down even when a shard consumer has stopped reading.
-// Pending and later shard reads return ctx.Err() and the source reader is
-// closed by the pump on the way out.
-func NewDemuxContext(ctx context.Context, r Reader, n int, key ShardFunc) *Demux {
-	if n < 1 {
-		panic(fmt.Sprintf("trace: demux shard count %d < 1", n))
-	}
+// NewShardReader returns a ShardReader over src for the given shard. It
+// panics if key is nil or shard is negative.
+func NewShardReader(src Reader, shard int, key ShardFunc) *ShardReader {
 	if key == nil {
 		panic("trace: nil ShardFunc")
 	}
-	d := &Demux{
-		shards: make([]*demuxShard, n),
-		stop:   make(chan struct{}),
-		ctx:    ctx,
+	if shard < 0 {
+		panic("trace: negative shard index")
 	}
-	for i := range d.shards {
-		d.shards[i] = &demuxShard{
-			procs: r.NumProcs(),
-			ch:    make(chan []Ref, demuxBuffer),
-			done:  make(chan struct{}),
-		}
-	}
-	if span.Enabled() {
-		d.flows = make([]uint64, n)
-		for i := range d.flows {
-			d.flows[i] = span.NewFlowID()
-		}
-	}
-	d.wg.Add(1)
-	go d.pump(r, key)
-	return d
-}
-
-// Shards returns the number of shard streams.
-func (d *Demux) Shards() int { return len(d.shards) }
-
-// Shard returns shard i's Reader. Each shard must be consumed by at most
-// one goroutine; distinct shards may be consumed concurrently. Closing a
-// shard (it implements io.Closer) detaches it from the demux without
-// disturbing the other shards.
-func (d *Demux) Shard(i int) Reader { return d.shards[i] }
-
-// Close tears the demux down: the pump goroutine stops, the source reader
-// is closed, and any shard read still blocked (or issued later) returns
-// ErrStopped unless that shard had already reached its end of stream.
-// Close is idempotent and safe to call from shard-consuming goroutines.
-func (d *Demux) Close() error {
-	d.once.Do(func() { close(d.stop) })
-	d.wg.Wait()
-	return nil
-}
-
-// pump is the demux goroutine: it drains the source, batches per shard, and
-// finally publishes each shard's terminal status before closing its channel.
-func (d *Demux) pump(r Reader, key ShardFunc) {
-	defer d.wg.Done()
-	n := len(d.shards)
-	batches := make([][]Ref, n)
-	var err error
-
-	// The pump runs in its own goroutine, so it owns its own span track
-	// (tracks are single-writer). flowSent marks shards whose producer flow
-	// endpoint has been emitted; both stay nil when tracing is off.
-	tr := span.Acquire("demux-pump")
-	defer span.Release(tr)
-	defer tr.Begin(span.OpDemuxPump, span.Fields{}).End()
-	var flowSent []bool
-	if tr != nil {
-		flowSent = make([]bool, n)
-	}
-
-	// Metric accumulators: plain locals inside the routing loop (which is
-	// necessarily per-reference), flushed to the atomic counters once when
-	// the pump exits.
-	var refsIn, dataRouted, broadcasts, blockedNs uint64
-	routed := make([]uint64, n)
-	defer func() {
-		mDemuxRefsIn.Add(refsIn)
-		mDemuxDataRouted.Add(dataRouted)
-		mDemuxBroadcasts.Add(broadcasts)
-		mDemuxBlockedNs.Add(blockedNs)
-		for _, perShard := range routed {
-			mDemuxShardRefs.Observe(perShard)
-		}
-	}()
-
-	// ctxDone is nil for a Background context; a nil channel never fires in
-	// a select, so the uncancellable case costs nothing extra.
-	ctxDone := d.ctx.Done()
-
-	flush := func(i int) bool {
-		if len(batches[i]) == 0 {
-			return true
-		}
-		s := d.shards[i]
-		if s.dead {
-			batches[i] = nil
-			return true
-		}
-		// sent finishes the bookkeeping for a successful send: the shard
-		// channel's occupancy right after the send is the queue-depth
-		// sample, and the first send into a shard emits the producer half
-		// of its flow arrow.
-		sent := func() {
-			routed[i] += uint64(len(batches[i]))
-			batches[i] = nil
-			mDemuxQueueDepth.Observe(uint64(len(s.ch)))
-			if tr != nil && !flowSent[i] {
-				tr.FlowOut(d.flows[i])
-				flowSent[i] = true
-			}
-		}
-		// Fast path: the shard's channel has room. Only when the send
-		// would block does the pump pay for timestamps, so blocked-send
-		// time measures genuine backpressure from slow shard consumers.
-		select {
-		case s.ch <- batches[i]:
-			sent()
-			return true
-		default:
-		}
-		t0 := time.Now()
-		select {
-		case s.ch <- batches[i]:
-			blockedNs += uint64(time.Since(t0))
-			sent()
-			return true
-		case <-s.done:
-			// The consumer closed this shard: drop its refs and keep
-			// pumping the others.
-			blockedNs += uint64(time.Since(t0))
-			s.dead = true
-			batches[i] = nil
-			return true
-		case <-d.stop:
-			blockedNs += uint64(time.Since(t0))
-			return false
-		case <-ctxDone:
-			blockedNs += uint64(time.Since(t0))
-			return false
-		}
-	}
-
-	// stopErr resolves why a flush aborted: a canceled context wins over the
-	// demux's own stop channel so consumers see context.Canceled (or
-	// DeadlineExceeded) rather than the generic ErrStopped.
-	stopErr := func() error {
-		if e := d.ctx.Err(); e != nil {
-			return e
-		}
-		return ErrStopped
-	}
-
-	br, batched := r.(BatchReader)
-	buf := make([]Ref, driveBatch)
-
-loop:
-	for {
-		if e := d.ctx.Err(); e != nil {
-			err = e
-			break
-		}
-		var cnt int
-		var e error
-		if batched {
-			cnt, e = br.NextBatch(buf)
-		} else {
-			cnt, e = fill(r, buf)
-		}
-		refsIn += uint64(cnt)
-		for _, ref := range buf[:cnt] {
-			if ref.Kind.IsData() {
-				i := key(ref)
-				if uint(i) >= uint(n) {
-					err = fmt.Errorf("trace: ShardFunc returned %d for %d shards", i, n)
-					break loop
-				}
-				dataRouted++
-				if d.shards[i].dead {
-					continue
-				}
-				batches[i] = append(batches[i], ref)
-				if len(batches[i]) >= demuxBatch && !flush(i) {
-					err = stopErr()
-					break loop
-				}
-				continue
-			}
-			// Synchronization and phase references are broadcast:
-			// appended to every shard's batch so each shard sees them in
-			// stream order.
-			broadcasts++
-			for i := range batches {
-				if d.shards[i].dead {
-					continue
-				}
-				batches[i] = append(batches[i], ref)
-				if len(batches[i]) >= demuxBatch && !flush(i) {
-					err = stopErr()
-					break loop
-				}
-			}
-		}
-		if e == io.EOF {
-			break
-		}
-		if e != nil {
-			err = e
-			break
-		}
-	}
-
-	if err == nil {
-		for i := range batches {
-			if !flush(i) {
-				err = stopErr()
-				break
-			}
-		}
-	}
-	// Close the source before publishing: like Drive, a clean drain still
-	// reports the reader's close error, so a shard consumer can never
-	// mistake a stream whose teardown failed for a complete one.
-	if cerr := CloseReader(r); cerr != nil {
-		mDriveCloseErrs.Inc()
-		if err == nil {
-			err = fmt.Errorf("trace: demux: closing source reader: %w", cerr)
-		}
-	}
-	// Publish the terminal status. Writing err before close(ch) orders it
-	// before any consumer that observes the closed channel.
-	for _, s := range d.shards {
-		s.err = err
-		close(s.ch)
-	}
-}
-
-// demuxShard is one shard's Reader end.
-type demuxShard struct {
-	procs int
-	ch    chan []Ref
-	done  chan struct{}
-	once  sync.Once
-
-	cur []Ref
-	pos int
-	err error // terminal status, valid once ch is closed; nil means EOF
-
-	// dead is owned by the pump goroutine: set once it observes the
-	// shard's done channel closed, so later batches skip it.
-	dead bool
+	br, _ := src.(BatchReader)
+	return &ShardReader{src: src, br: br, shard: shard, key: key}
 }
 
 // NumProcs implements Reader.
-func (s *demuxShard) NumProcs() int { return s.procs }
+func (s *ShardReader) NumProcs() int { return s.src.NumProcs() }
+
+// keep reports whether the shard's stream includes r.
+func (s *ShardReader) keep(r Ref) bool {
+	return !r.Kind.IsData() || s.key(r) == s.shard
+}
 
 // Next implements Reader.
-func (s *demuxShard) Next() (Ref, error) {
+func (s *ShardReader) Next() (Ref, error) {
 	for {
-		if s.pos < len(s.cur) {
-			ref := s.cur[s.pos]
-			s.pos++
-			return ref, nil
+		r, err := s.src.Next()
+		if err != nil {
+			return Ref{}, err
 		}
-		batch, ok := <-s.ch
-		if !ok {
-			if s.err != nil {
-				return Ref{}, s.err
-			}
-			return Ref{}, io.EOF
+		if s.keep(r) {
+			return r, nil
 		}
-		s.cur, s.pos = batch, 0
 	}
 }
 
-// NextBatch implements BatchReader by copying out of the current demux
-// batch; at most one channel receive per call.
-func (s *demuxShard) NextBatch(buf []Ref) (int, error) {
-	for s.pos >= len(s.cur) {
-		batch, ok := <-s.ch
-		if !ok {
-			if s.err != nil {
-				return 0, s.err
-			}
-			return 0, io.EOF
-		}
-		s.cur, s.pos = batch, 0
+// NextBatch implements BatchReader: it reads source batches and compacts
+// the shard's subsequence into buf, returning as soon as at least one
+// reference is kept. Like every BatchReader, the prefix is valid even when
+// err is non-nil.
+func (s *ShardReader) NextBatch(buf []Ref) (int, error) {
+	if len(buf) == 0 {
+		return 0, nil
 	}
-	n := copy(buf, s.cur[s.pos:])
-	s.pos += n
-	return n, nil
+	if s.buf == nil {
+		s.buf = make([]Ref, driveBatch)
+	}
+	for {
+		// Read at most len(buf) source refs so the kept subsequence always
+		// fits the caller's buffer.
+		in := s.buf
+		if len(buf) < len(in) {
+			in = in[:len(buf)]
+		}
+		var cnt int
+		var err error
+		if s.br != nil {
+			cnt, err = s.br.NextBatch(in)
+		} else {
+			cnt, err = fill(s.src, in)
+		}
+		n := 0
+		for _, r := range in[:cnt] {
+			if s.keep(r) {
+				buf[n] = r
+				n++
+			}
+		}
+		if err != nil || n > 0 {
+			return n, err
+		}
+	}
 }
 
-// Close implements io.Closer: it detaches the shard from the demux. The
-// pump stops delivering to it; other shards are unaffected.
-func (s *demuxShard) Close() error {
-	s.once.Do(func() { close(s.done) })
-	return nil
-}
+// Close implements io.Closer by closing the source reader (stopping a
+// generator-backed source promptly). Closing a source that does not
+// implement io.Closer is a no-op.
+func (s *ShardReader) Close() error { return CloseReader(s.src) }

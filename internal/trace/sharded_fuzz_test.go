@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -9,10 +10,10 @@ import (
 )
 
 // FuzzShardedEquivalence lives in the external test package so it can drive
-// the classifiers in internal/core against the demux without an import
-// cycle. Arbitrary byte strings are decoded into mixed data/sync/phase
-// traces and the sharded pipeline is checked against the serial classifier
-// for all three classification schemes. The committed seed corpus under
+// the classifiers in internal/core through core.RunShardedOpen without an
+// import cycle. Arbitrary byte strings are decoded into mixed
+// data/sync/phase traces and the shard-native pipeline is checked against
+// the serial classifier for all three classification schemes. The committed seed corpus under
 // testdata/fuzz/FuzzShardedEquivalence is pinned by TestFuzzSeedCorpora.
 func FuzzShardedEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8}, uint8(3), uint8(2))
@@ -42,44 +43,59 @@ func FuzzShardedEquivalence(f *testing.F) {
 
 		shardGrid := []int{2, int(shardsRaw%9) + 1}
 
-		want, wantRefs, err := core.Classify(tr.Reader(), g)
-		if err != nil {
-			t.Fatalf("ours serial: %v", err)
+		type result struct {
+			counts any
+			refs   uint64
 		}
-		for _, n := range shardGrid {
-			got, refs, err := core.ShardedClassify(tr.Reader(), g, n)
-			if err != nil {
-				t.Fatalf("ours shards=%d: %v", n, err)
-			}
-			if got != want || refs != wantRefs {
-				t.Fatalf("ours shards=%d: got %+v (%d refs), want %+v (%d refs)",
-					n, got, refs, want, wantRefs)
-			}
-		}
-
-		type scheme struct {
+		pair := func(counts any, refs uint64, err error) (result, error) { return result{counts, refs}, err }
+		for _, sc := range []struct {
 			name    string
-			serial  func(trace.Reader, mem.Geometry) (core.SharingCounts, uint64, error)
-			sharded func(trace.Reader, mem.Geometry, int) (core.SharingCounts, uint64, error)
-		}
-		for _, sc := range []scheme{
-			{"eggers", core.ClassifyEggers, core.ShardedClassifyEggers},
-			{"torrellas", core.ClassifyTorrellas, core.ShardedClassifyTorrellas},
+			serial  func() (result, error)
+			sharded func(n int) (result, error)
+		}{
+			{"ours",
+				func() (result, error) { return pair(core.Classify(tr.Reader(), g)) },
+				func(n int) (result, error) { return pair(shardedRun[core.Counts](tr, g, n, core.NewClassifier)) }},
+			{"eggers",
+				func() (result, error) { return pair(core.ClassifyEggers(tr.Reader(), g)) },
+				func(n int) (result, error) { return pair(shardedRun[core.SharingCounts](tr, g, n, core.NewEggers)) }},
+			{"torrellas",
+				func() (result, error) { return pair(core.ClassifyTorrellas(tr.Reader(), g)) },
+				func(n int) (result, error) { return pair(shardedRun[core.SharingCounts](tr, g, n, core.NewTorrellas)) }},
 		} {
-			want, wantRefs, err := sc.serial(tr.Reader(), g)
+			want, err := sc.serial()
 			if err != nil {
 				t.Fatalf("%s serial: %v", sc.name, err)
 			}
 			for _, n := range shardGrid {
-				got, refs, err := sc.sharded(tr.Reader(), g, n)
+				got, err := sc.sharded(n)
 				if err != nil {
 					t.Fatalf("%s shards=%d: %v", sc.name, n, err)
 				}
-				if got != want || refs != wantRefs {
-					t.Fatalf("%s shards=%d: got %+v (%d refs), want %+v (%d refs)",
-						sc.name, n, got, refs, want, wantRefs)
+				if got != want {
+					t.Fatalf("%s shards=%d: got %+v, want %+v", sc.name, n, got, want)
 				}
 			}
 		}
 	})
+}
+
+// shardedRun classifies tr over n shard-native streams — one consumer
+// built by newC per shard, each filtering its own reader of tr — and merges
+// the per-shard counts.
+func shardedRun[K interface{ Add(K) K }, C interface {
+	trace.Consumer
+	Finish() K
+	DataRefs() uint64
+}](tr *trace.Trace, g mem.Geometry, n int, newC func(int, mem.Geometry) C) (K, uint64, error) {
+	type res struct {
+		counts K
+		refs   uint64
+	}
+	open := func(int) (trace.Reader, error) { return tr.Reader(), nil }
+	out, err := core.RunShardedOpen(context.Background(), open, n, trace.BlockShard(g, n),
+		func(int) C { return newC(tr.Procs, g) },
+		func(c C) res { return res{c.Finish(), c.DataRefs()} },
+		func(a, b res) res { return res{a.counts.Add(b.counts), a.refs + b.refs} })
+	return out.counts, out.refs, err
 }

@@ -31,7 +31,7 @@ func CloseReader(r Reader) error {
 // BatchReader is a Reader that can deliver references many at a time,
 // amortizing the per-reference interface dispatch of Next over whole
 // batches. The in-memory trace reader, the workload generators, the binary
-// decoder and the demux shards all implement it; Drive uses it when
+// decoder and the shard readers all implement it; Drive uses it when
 // available.
 type BatchReader interface {
 	Reader
@@ -43,7 +43,7 @@ type BatchReader interface {
 	NextBatch(buf []Ref) (n int, err error)
 }
 
-// driveBatch is the reference-batch size used by Drive and the demux pump.
+// driveBatch is the reference-batch size used by Drive and the shard readers.
 // Large enough to amortize dispatch, small enough that a batch of 16-byte
 // refs stays well inside the L1 cache.
 const driveBatch = 1024

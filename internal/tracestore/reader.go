@@ -60,22 +60,6 @@ func (f *File) ReaderContext(ctx context.Context) *Reader {
 	return f.newReader(ctx, allSegments(len(f.toc)), false)
 }
 
-// RangeReader replays only segments [lo, hi) — the primitive for handing
-// distinct segment ranges to distinct workers. Bounds are clamped.
-func (f *File) RangeReader(lo, hi int) *Reader {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(f.toc) {
-		hi = len(f.toc)
-	}
-	segs := make([]int, 0, max(0, hi-lo))
-	for i := lo; i < hi; i++ {
-		segs = append(segs, i)
-	}
-	return f.newReader(context.Background(), segs, false)
-}
-
 // ShardReaderContext replays only the segments that can matter to one
 // shard of the canonical block partition: segments whose address range
 // intersects the shard's residue class (SegmentInfo.HasBlockShard) or that

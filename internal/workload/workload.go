@@ -72,17 +72,6 @@ func (w *Workload) Reader() trace.Reader {
 	return trace.Generate(w.Procs, w.gen)
 }
 
-// ShardReader returns a streaming reader over shard's subsequence of a
-// fresh generation of the trace: data references the key routes to shard,
-// plus every synchronization and phase reference, in stream order. Because
-// generation is deterministic, N ShardReaders reproduce exactly the N
-// streams a trace.Demux would fan out of one generation — this is the
-// shard-native generation path of the fused replay engine, with no central
-// demux pump. Close it if it is not drained.
-func (w *Workload) ShardReader(shard int, key trace.ShardFunc) trace.Reader {
-	return trace.NewShardReader(w.Reader(), shard, key)
-}
-
 // Collect generates the whole trace into memory. Use only for the small
 // data-set workloads; the large ones run to tens of millions of references.
 func (w *Workload) Collect() (*trace.Trace, error) {
