@@ -81,9 +81,9 @@ faults:
 	$(GO) test -race -count=1 ./cmd/uselessmiss \
 		-run 'TestExitCode|TestTimeoutExpires|TestManifest|TestRegenResumeWithoutManifest'
 
-# The serving-mode suite under the race detector: admission control, the
-# circuit breaker, graceful drain (readyz-first ordering, forced-cancel exit
-# path), chaos lifecycle leak checks, and the load generator — plus the
+# The serving-mode suite under the race detector: admission control,
+# graceful drain (readyz-first ordering, forced-cancel exit path), chaos
+# lifecycle leak checks, and the load generator — plus the
 # HTTP-vs-offline differential jobs in cmd/uselessmiss. Any unsynchronized
 # access on the submit path or a goroutine leaked across a drain fails here.
 serve-check:
@@ -100,7 +100,7 @@ cover:
 		|| { echo "FAIL: coverage $$total% is below the $(COVERFLOOR)% floor"; exit 1; }
 
 # Short fuzzing smoke over every target, starting from the committed seed
-# corpora under internal/trace/testdata/fuzz.
+# corpora under internal/trace/testdata/fuzz and the in-code seeds.
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDecoder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzParseText -fuzztime $(FUZZTIME)
@@ -108,6 +108,7 @@ fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzShardedEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzFusedEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tracestore -run '^$$' -fuzz FuzzTracestoreRoundtrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzJobSpec -fuzztime $(FUZZTIME)
 
 # All benchmarks across every package: the root paper-artifact benchmarks,
 # the perfbench harness workloads, and the internal/dense + internal/trace

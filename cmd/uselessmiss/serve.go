@@ -10,7 +10,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/load"
 	"repro/internal/serve"
 )
@@ -29,14 +28,8 @@ func cmdServe(ctx context.Context, args []string, out io.Writer) error {
 	fs.DurationVar(&cfg.JobTimeout, "job-timeout", 2*time.Minute, "default per-job deadline")
 	fs.DurationVar(&cfg.MaxJobTimeout, "max-job-timeout", 10*time.Minute, "cap on spec-requested deadlines")
 	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", 15*time.Second, "graceful drain bound; jobs past it are force-canceled")
-	fs.IntVar(&cfg.RetryMax, "retries", 2, "retries after a transient trace fault")
-	fs.DurationVar(&cfg.RetryBase, "retry-base", 50*time.Millisecond, "retry backoff unit (doubled per attempt, jittered)")
-	fs.IntVar(&cfg.BreakerThreshold, "breaker-threshold", 5, "consecutive failures that quarantine a tenant/workload")
-	fs.DurationVar(&cfg.BreakerCooldown, "breaker-cooldown", 10*time.Second, "quarantine length before a half-open probe")
 	fs.Int64Var(&cfg.MaxBodyBytes, "max-body", 256<<20, "max uploaded trace body bytes")
 	fs.IntVar(&cfg.MaxParallelism, "max-par", 0, "clamp on spec parallelism/shards (0 = 4x GOMAXPROCS)")
-	fs.Int64Var(&cfg.Seed, "seed", 1, "seed for retry jitter and the chaos plan")
-	chaosSpec := fs.String("chaos", "", "fault plan armed on job attempts, e.g. 'error:5000@0.2,stall:1000:5ms@0.5' (testing)")
 	logLevel := fs.String("log", "warn", "slog level: debug, info, warn or error")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -46,22 +39,12 @@ func cmdServe(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level})))
-	if *chaosSpec != "" {
-		plan, err := fault.ParsePlan(*chaosSpec)
-		if err != nil {
-			return err
-		}
-		cfg.Chaos = plan
-	}
 
 	s, err := serve.New(cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "uselessmiss serve: listening on http://%s (POST /v1/jobs, GET /v1/stats, /metrics, /readyz)\n", s.Addr())
-	if cfg.Chaos != nil {
-		fmt.Fprintf(out, "uselessmiss serve: chaos armed: %s (seed %d)\n", cfg.Chaos, cfg.Seed)
-	}
 	err = s.Run(ctx)
 	if err != nil {
 		return err

@@ -4,9 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-
-	"repro/internal/sweep"
-	"repro/internal/trace"
 )
 
 // JobKinds lists the experiment names RunNamed accepts — the job-spec
@@ -59,21 +56,4 @@ func RunNamed(kind string, o Options, block int) error {
 		return FiniteSweep(o, blk(64), 4)
 	}
 	return fmt.Errorf("%w %q (want one of %s)", ErrUnknownJob, kind, strings.Join(JobKinds, ", "))
-}
-
-// NewWrappedTraceCache is NewTraceCache with every generated workload
-// reader passed through wrap before anything downstream sees it — the
-// chaos hook: a job attempt that should run under injected faults gets a
-// private cache whose openers wrap the generation stream with the fault
-// plan's injectors, while clean attempts keep sharing the server's
-// pristine cache. The wrapped cache must never be shared across attempts:
-// a materialized faulted stream would otherwise poison later runs.
-func NewWrappedTraceCache(wrap func(trace.Reader) trace.Reader) *sweep.TraceCache {
-	return sweep.NewTraceCache(sweep.DefaultCacheRefs, func(name string) (trace.Reader, error) {
-		r, err := openWorkloadTrace(name)
-		if err != nil {
-			return nil, err
-		}
-		return wrap(r), nil
-	})
 }

@@ -172,6 +172,35 @@ func (s *stall) Next() (trace.Ref, error) {
 	return ref, nil
 }
 
+// StallAt returns a reader that sleeps d exactly once, just before
+// delivering reference n — a single mid-stream latency spike, as opposed
+// to Stall's periodic slowdown. The stream is otherwise unmodified; the
+// serving layer's drain and deadline tests use it to park a job at a known
+// point and prove cancellation still wins.
+func StallAt(r trace.Reader, n uint64, d time.Duration) trace.Reader {
+	return &stallAt{base: base{r: r}, at: n, d: d}
+}
+
+type stallAt struct {
+	base
+	at    uint64
+	d     time.Duration
+	fired bool
+}
+
+func (s *stallAt) Next() (trace.Ref, error) {
+	if !s.fired && s.n >= s.at {
+		s.fired = true
+		time.Sleep(s.d)
+	}
+	ref, err := s.r.Next()
+	if err != nil {
+		return ref, err
+	}
+	s.n++
+	return ref, nil
+}
+
 // FlakyClose returns a reader that streams r faithfully but fails Close
 // with a typed *Error (wrapping ErrInjected and cause, if non-nil). The
 // replay pumps promise to surface close errors when the stream itself ended
@@ -206,6 +235,7 @@ var (
 	_ trace.Reader = (*corruptAddrs)(nil)
 	_ trace.Reader = (*scrambleProcs)(nil)
 	_ trace.Reader = (*stall)(nil)
+	_ trace.Reader = (*stallAt)(nil)
 	_ trace.Reader = (*flakyClose)(nil)
 	_ io.Closer    = (*flakyClose)(nil)
 )

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 	"time"
@@ -293,5 +294,65 @@ func TestFailFastNeverReturnsPartialResults(t *testing.T) {
 				t.Errorf("fail-fast returned results %v alongside error %v", res, err)
 			}
 		})
+	}
+}
+
+// drain replays r to completion per-reference and returns the refs seen
+// and the terminal error (io.EOF folded to nil).
+func drain(r trace.Reader) (int, error) {
+	n := 0
+	for {
+		_, err := r.Next()
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return n, err
+		}
+		n++
+	}
+}
+
+// TestStallAtFiresOnce: the one-shot stall must delay exactly once, at the
+// requested reference, and leave the stream contents untouched.
+func TestStallAtFiresOnce(t *testing.T) {
+	tr := testTrace()
+	want, err := drain(tr.Reader())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const at, d = 100, 30 * time.Millisecond
+	r := fault.StallAt(tr.Reader(), at, d)
+	// The refs before the stall point must deliver with no sleep: a full
+	// pre-stall drain far faster than d proves the spike has not fired.
+	start := time.Now()
+	for i := 0; i < at; i++ {
+		if _, err := r.Next(); err != nil {
+			t.Fatalf("ref %d: %v", i, err)
+		}
+	}
+	if e := time.Since(start); e >= d {
+		t.Fatalf("pre-stall refs took %v, want < %v", e, d)
+	}
+	// The next ref carries the spike.
+	start = time.Now()
+	if _, err := r.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if e := time.Since(start); e < d {
+		t.Fatalf("stalled ref took %v, want >= %v", e, d)
+	}
+	// The remainder streams clean and complete, again with no sleep.
+	start = time.Now()
+	rest, err := drain(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := time.Since(start); e >= d {
+		t.Fatalf("post-stall refs took %v, want < %v", e, d)
+	}
+	if got := at + 1 + rest; got != want {
+		t.Fatalf("stalled stream delivered %d refs, want %d", got, want)
 	}
 }

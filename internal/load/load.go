@@ -3,9 +3,9 @@
 // seeded arrival process — constant, stepped or bursty RPS with
 // exponential, uniform or equidistant inter-arrival times — and reports
 // sustained throughput (jobs/s and replayed refs/s, read as a /v1/stats
-// delta) and latency quantiles. It is the chaos suite's traffic half:
-// point it at a server armed with a fault plan and the typed error codes
-// come back in the report's breakdown.
+// delta) and latency quantiles. It is the chaos suite's traffic half: the
+// typed error codes of a server whose trace readers fault come back in the
+// report's breakdown.
 package load
 
 import (
@@ -213,7 +213,6 @@ loop:
 	if statsErr == nil {
 		if after, err := fetchStats(ctx, cfg.Client, cfg.BaseURL); err == nil {
 			rep.RefsPerSec = float64(after.Refs.Driven-before.Refs.Driven) / rep.Elapsed.Seconds()
-			rep.ServerRetries = after.Jobs.Retries - before.Jobs.Retries
 		}
 	}
 	rep.finish()
@@ -268,9 +267,6 @@ func submit(ctx context.Context, client *http.Client, base string, body []byte) 
 
 // serverStats mirrors the slice of /v1/stats the generator reads.
 type serverStats struct {
-	Jobs struct {
-		Retries uint64 `json:"retries"`
-	} `json:"jobs"`
 	Refs struct {
 		Driven uint64 `json:"driven"`
 	} `json:"refs"`
@@ -310,9 +306,7 @@ type Report struct {
 	Statuses map[int]int    // HTTP status → count
 	Codes    map[string]int // typed error code → count (non-200s)
 
-	ServerRetries uint64  // server-side retry delta over the run
-	RefsPerSec    float64 // replayed refs/s from the /v1/stats delta
-
+	RefsPerSec float64 // replayed refs/s from the /v1/stats delta
 	JobsPerSec float64 // completed (200) jobs per second
 	P50, P99   time.Duration
 

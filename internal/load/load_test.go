@@ -126,7 +126,7 @@ func TestRunAgainstStub(t *testing.T) {
 			}
 			fmt.Fprint(w, "scheme  class  misses\n")
 		case "/v1/stats":
-			fmt.Fprintf(w, `{"jobs":{"retries":0},"refs":{"driven":%d}}`, refs.Load())
+			fmt.Fprintf(w, `{"jobs":{},"refs":{"driven":%d}}`, refs.Load())
 		default:
 			http.NotFound(w, r)
 		}
@@ -225,11 +225,11 @@ func TestReportFprint(t *testing.T) {
 // TestReportJSONRoundTrip guards the stats shape the generator reads.
 func TestReportJSONRoundTrip(t *testing.T) {
 	var s serverStats
-	blob := `{"queue":{"depth":1},"jobs":{"retries":3},"refs":{"driven":42,"collected":9}}`
+	blob := `{"queue":{"depth":1},"jobs":{"admitted":3},"refs":{"driven":42,"collected":9}}`
 	if err := json.Unmarshal([]byte(blob), &s); err != nil {
 		t.Fatal(err)
 	}
-	if s.Jobs.Retries != 3 || s.Refs.Driven != 42 {
+	if s.Refs.Driven != 42 {
 		t.Errorf("decoded %+v", s)
 	}
 }

@@ -22,7 +22,6 @@ func (r *Report) Fprint(out io.Writer, csv bool) error {
 	tb.Rowf("dropped_client", r.Dropped)
 	tb.Rowf("jobs_per_sec", fmt.Sprintf("%.2f", r.JobsPerSec))
 	tb.Rowf("refs_per_sec", fmt.Sprintf("%.0f", r.RefsPerSec))
-	tb.Rowf("server_retries", r.ServerRetries)
 	tb.Rowf("p50_ms", fmt.Sprintf("%.1f", float64(r.P50.Microseconds())/1000))
 	tb.Rowf("p99_ms", fmt.Sprintf("%.1f", float64(r.P99.Microseconds())/1000))
 	if csv {

@@ -258,19 +258,14 @@ const (
 	// deterministic in the request stream only, never across concurrent
 	// clients, so everything here is timing-class. The queue-depth and
 	// in-flight gauges sample the admitted-but-unfinished population;
-	// the latency histogram buckets job wall time in nanoseconds;
-	// breaker_open counts closed→open transitions and breaker_state
-	// gauges the number of currently-open breakers.
+	// the latency histogram buckets job wall time in nanoseconds.
 	NameServeAdmitted     = "serve.jobs.admitted"
 	NameServeRejected     = "serve.jobs.rejected"
 	NameServeCompleted    = "serve.jobs.completed"
 	NameServeFailed       = "serve.jobs.failed"
-	NameServeRetries      = "serve.jobs.retries"
 	NameServePanics       = "serve.jobs.panics"
 	NameServeQueueDepth   = "serve.queue.depth"
 	NameServeInflight     = "serve.jobs.inflight"
 	NameServeJobLatencyNs = "serve.job_latency_ns"
-	NameServeBreakerOpen  = "serve.breaker.opened"
-	NameServeBreakerState = "serve.breaker.open_now"
 	NameServeDrainForced  = "serve.drain.forced_cancels"
 )

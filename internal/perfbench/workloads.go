@@ -319,10 +319,9 @@ func All() []Workload {
 			},
 		},
 		{
-			// The serving layer's control plane: admission slot, circuit
-			// breaker gate and verdict, release. Pinned at 0 allocs/pass —
-			// load shedding must not generate garbage exactly when the
-			// server is busiest.
+			// The serving layer's control plane: admit into a slot, then
+			// release it. Pinned at 0 allocs/pass — load shedding must not
+			// generate garbage exactly when the server is busiest.
 			Name:   "serve/submit-path",
 			Pinned: true,
 			Setup: func() (func() (uint64, error), error) {

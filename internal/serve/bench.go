@@ -1,26 +1,19 @@
 package serve
 
-import "fmt"
-
-// SubmitPath packages the admission hot path — admit, breaker gate,
-// breaker verdict, release — for the perf harness, which pins it at zero
-// allocations per cycle: load shedding must not generate garbage exactly
-// when the server is busiest.
+// SubmitPath packages the admission hot path — admit, release — for the
+// perf harness, which pins it at zero allocations per cycle: load shedding
+// must not generate garbage exactly when the server is busiest.
 type SubmitPath struct {
 	adm *admitter
-	brk *breaker
 }
 
-// NewSubmitPathBench builds a warmed admission path: the tenant and
-// workload circuits exist and the tenant map has reached steady state, so
-// cycles measure the per-job cost, not first-touch map growth.
+// NewSubmitPathBench builds a warmed admission path: the tenant map has
+// reached steady state, so cycles measure the per-job cost, not
+// first-touch map growth.
 func NewSubmitPathBench() *SubmitPath {
-	p := &SubmitPath{
-		adm: newAdmitter(64, 16),
-		brk: newBreaker(breakerPolicy{threshold: 5, cooldown: 0}, nil),
-	}
+	p := &SubmitPath{adm: newAdmitter(64, 16)}
 	if err := p.Cycle(); err != nil {
-		panic(err) // fresh admitter and closed breaker cannot reject
+		panic(err) // a fresh admitter cannot reject
 	}
 	return p
 }
@@ -30,11 +23,6 @@ func (p *SubmitPath) Cycle() error {
 	if je := p.adm.admit("bench"); je != nil {
 		return je
 	}
-	if _, ok := p.brk.allowAll("tenant/bench", "workload/LU32"); !ok {
-		p.adm.release("bench")
-		return fmt.Errorf("serve: bench circuit unexpectedly open")
-	}
-	p.brk.successAll("tenant/bench", "workload/LU32")
 	p.adm.release("bench")
 	return nil
 }

@@ -30,20 +30,16 @@ type errorEnvelope struct {
 		Code      Code   `json:"code"`
 		Message   string `json:"message"`
 		Job       uint64 `json:"job,omitempty"`
-		Attempts  int    `json:"attempts,omitempty"`
 		Retryable bool   `json:"retryable"`
 	} `json:"error"`
 }
 
 // writeError renders a JobError as its HTTP status plus the JSON envelope,
 // attaching Retry-After to the shedding statuses.
-func (s *Server) writeError(w http.ResponseWriter, je *JobError, retryAfter time.Duration) {
+func (s *Server) writeError(w http.ResponseWriter, je *JobError) {
 	status := je.HTTPStatus()
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		if retryAfter <= 0 {
-			retryAfter = s.cfg.RetryAfter
-		}
-		secs := int(retryAfter / time.Second)
+		secs := int(s.cfg.RetryAfter / time.Second)
 		if secs < 1 {
 			secs = 1
 		}
@@ -55,7 +51,6 @@ func (s *Server) writeError(w http.ResponseWriter, je *JobError, retryAfter time
 	env.Error.Code = je.Code
 	env.Error.Message = je.Error()
 	env.Error.Job = je.Job
-	env.Error.Attempts = je.Attempts
 	env.Error.Retryable = je.Retryable()
 	json.NewEncoder(w).Encode(&env) //nolint:errcheck // best-effort error body
 }
@@ -72,7 +67,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if je != nil {
 		mRejected.Inc()
 		s.rejected.Add(1)
-		s.writeError(w, je, 0)
+		s.writeError(w, je)
 		return
 	}
 
@@ -80,7 +75,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if je := s.adm.admit(tenant); je != nil {
 		mRejected.Inc()
 		s.rejected.Add(1)
-		s.writeError(w, je, 0)
+		s.writeError(w, je)
 		return
 	}
 
@@ -90,16 +85,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		traceBytes: traceBytes,
 		done:       make(chan struct{}),
 	}
-	// The breaker gate sits inside the admission slot so a rejected
-	// probe can be rolled back without racing another submission.
-	if wait, ok := s.brk.allowAll(j.breakerKeys()...); !ok {
-		s.adm.release(tenant)
-		mRejected.Inc()
-		s.rejected.Add(1)
-		s.writeError(w, &JobError{Code: CodeQuarantined, Tenant: tenant}, wait)
-		return
-	}
-
 	// The job's context descends from jobsCtx — NOT the request context —
 	// so a graceful drain lets it finish; the client going away cancels
 	// it through AfterFunc.
@@ -110,11 +95,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	if !s.enqueue(j) {
 		j.cancel()
-		s.brk.forgiveAll(j.breakerKeys()...)
 		s.adm.release(tenant)
 		mRejected.Inc()
 		s.rejected.Add(1)
-		s.writeError(w, &JobError{Code: CodeDraining, Tenant: tenant, Job: j.id}, 0)
+		s.writeError(w, &JobError{Code: CodeDraining, Tenant: tenant, Job: j.id})
 		return
 	}
 	mAdmitted.Inc()
@@ -122,12 +106,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	<-j.done
 	if j.err != nil {
-		s.writeError(w, j.err, 0)
+		s.writeError(w, j.err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Header().Set("X-Job-Id", strconv.FormatUint(j.id, 10))
-	w.Header().Set("X-Job-Attempts", strconv.Itoa(j.attempts))
 	w.Header().Set("X-Job-Elapsed-Ms", strconv.FormatInt(time.Since(j.start).Milliseconds(), 10))
 	w.Write(j.out.Bytes()) //nolint:errcheck // client disconnect is not actionable
 }
@@ -213,11 +196,9 @@ type statsReply struct {
 		Rejected  uint64 `json:"rejected"`
 		Completed uint64 `json:"completed"`
 		Failed    uint64 `json:"failed"`
-		Retries   uint64 `json:"retries"`
 		Forced    uint64 `json:"forced_cancels"`
 	} `json:"jobs"`
-	Breakers map[string]string `json:"breakers"`
-	Refs     struct {
+	Refs struct {
 		Driven    uint64 `json:"driven"`
 		Collected uint64 `json:"collected"`
 	} `json:"refs"`
@@ -239,9 +220,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	reply.Jobs.Rejected = s.rejected.Load()
 	reply.Jobs.Completed = s.completed.Load()
 	reply.Jobs.Failed = s.failed.Load()
-	reply.Jobs.Retries = s.retries.Load()
 	reply.Jobs.Forced = s.forced.Load()
-	reply.Breakers = s.brk.openKeys()
 	reply.Refs.Driven = cDriveRefs.Value()
 	reply.Refs.Collected = cCollectRefs.Value()
 	w.Header().Set("Content-Type", "application/json")

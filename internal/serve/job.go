@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/coherence"
 	"repro/internal/experiment"
+	"repro/internal/mem"
 	"repro/internal/workload"
 )
 
@@ -14,8 +16,8 @@ import (
 // experiment's default", matching the CLI flags field for field so a spec
 // and the equivalent command line render byte-identical tables.
 type JobSpec struct {
-	// Tenant identifies the submitting client for admission caps and
-	// circuit breaking; empty means the shared "default" tenant.
+	// Tenant identifies the submitting client for admission caps; empty
+	// means the shared "default" tenant.
 	Tenant string `json:"tenant,omitempty"`
 	// Experiment names the driver to run: one of experiment.JobKinds, or
 	// "classify" for a single-workload classification table.
@@ -29,7 +31,8 @@ type JobSpec struct {
 	// (classify, fig6, compare, hotspots, phases, finite); 0 keeps each
 	// experiment's paper default.
 	Block int `json:"block,omitempty"`
-	// Blocks overrides fig5's block-size sweep.
+	// Blocks overrides fig5's block-size sweep. Block sizes are
+	// power-of-two byte counts of at least one word.
 	Blocks []int `json:"blocks,omitempty"`
 	// Scheme picks the classify table's scheme: ours, eggers, torrellas
 	// or all (the default).
@@ -59,9 +62,10 @@ func (s *JobSpec) tenant() string {
 }
 
 // validate normalizes the spec and rejects what can be rejected before
-// admission: unknown experiments and workloads (404), nonsensical
-// parameters (400). maxPar is the server's parallelism clamp; hasTrace
-// marks an uploaded-trace job, whose classify needs no workload.
+// admission: unknown experiments, workloads and protocols (404),
+// nonsensical parameters such as a block size no geometry accepts (400).
+// maxPar is the server's parallelism clamp; hasTrace marks an
+// uploaded-trace job, whose classify needs no workload.
 func (s *JobSpec) validate(maxPar int, hasTrace bool) *JobError {
 	reject := func(code Code, format string, args ...any) *JobError {
 		return &JobError{Code: code, Tenant: s.tenant(), Err: fmt.Errorf(format, args...)}
@@ -71,6 +75,18 @@ func (s *JobSpec) validate(maxPar int, hasTrace bool) *JobError {
 	}
 	if s.Block < 0 || s.Parallelism < 0 || s.Shards < 0 || s.TimeoutMs < 0 {
 		return reject(CodeBadRequest, "negative block/parallelism/shards/timeout")
+	}
+	// Check block sizes now: one no geometry accepts would otherwise fail
+	// inside the driver, after queueing, as an internal error. Block 0
+	// keeps the experiment's default.
+	blocks := s.Blocks
+	if s.Block != 0 {
+		blocks = append([]int{s.Block}, s.Blocks...)
+	}
+	for _, b := range blocks {
+		if _, err := mem.NewGeometry(b); err != nil {
+			return reject(CodeBadRequest, "bad block size: %v", err)
+		}
 	}
 	if s.Parallelism > maxPar {
 		s.Parallelism = maxPar
@@ -108,14 +124,19 @@ func (s *JobSpec) validate(maxPar int, hasTrace bool) *JobError {
 			s.Workloads = []string{s.Workload}
 		}
 	}
-	// Resolve workload names now so a typo is a 404 at submission, not a
-	// failed job after queueing.
+	// Resolve workload and protocol names now so a typo is a 404 at
+	// submission, not a failed job after queueing.
 	for _, name := range append(append([]string{}, s.Workloads...), s.Workload) {
 		if name == "" {
 			continue
 		}
 		if _, err := workload.Get(name); err != nil {
 			return reject(CodeUnknown, "unknown workload %q", name)
+		}
+	}
+	for _, name := range s.Protocols {
+		if _, err := coherence.New(name, workload.DefaultProcs, mem.MustGeometry(mem.WordBytes)); err != nil {
+			return reject(CodeUnknown, "unknown protocol %q", name)
 		}
 	}
 	return nil
@@ -134,20 +155,8 @@ type job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	out      bytes.Buffer
-	err      *JobError
-	attempts int
-	start    time.Time
-	done     chan struct{}
-}
-
-// breakerKeys lists the circuits this job must pass: its tenant, plus the
-// workload for single-workload jobs (a poisoned workload quarantines
-// across tenants).
-func (j *job) breakerKeys() []string {
-	keys := []string{"tenant/" + j.spec.tenant()}
-	if j.spec.Workload != "" {
-		keys = append(keys, "workload/"+j.spec.Workload)
-	}
-	return keys
+	out   bytes.Buffer
+	err   *JobError
+	start time.Time
+	done  chan struct{}
 }

@@ -12,12 +12,9 @@ var (
 	mRejected  = obs.Default.TimingCounter(obs.NameServeRejected)
 	mCompleted = obs.Default.TimingCounter(obs.NameServeCompleted)
 	mFailed    = obs.Default.TimingCounter(obs.NameServeFailed)
-	mRetries   = obs.Default.TimingCounter(obs.NameServeRetries)
 	mPanics    = obs.Default.TimingCounter(obs.NameServePanics)
 	mQueue     = obs.Default.Gauge(obs.NameServeQueueDepth)
 	mInflight  = obs.Default.Gauge(obs.NameServeInflight)
-	mBreaker   = obs.Default.TimingCounter(obs.NameServeBreakerOpen)
-	mBreakerUp = obs.Default.Gauge(obs.NameServeBreakerState)
 	mForced    = obs.Default.TimingCounter(obs.NameServeDrainForced)
 
 	// mLatency buckets job wall time in nanoseconds from 1ms to 1min;

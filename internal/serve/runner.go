@@ -16,76 +16,36 @@ import (
 )
 
 // runJob executes one admitted job on a worker: a deadline from the spec
-// (capped by the server), a retry loop with seeded jittered backoff around
-// transient trace faults, and typed classification of whatever comes out.
-// The job's breaker verdict is recorded here; admission already held the
-// circuits open.
+// (capped by the server), one run, and typed classification of whatever
+// comes out. The output is a pure function of (spec, trace, version), so a
+// failed run would fail identically again; nothing is retried.
 func (s *Server) runJob(j *job) {
+	// Clamp in milliseconds before converting: a huge timeout_ms would
+	// overflow time.Duration into a negative, already-expired deadline.
 	timeout := s.cfg.JobTimeout
-	if j.spec.TimeoutMs > 0 {
-		timeout = time.Duration(j.spec.TimeoutMs) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxJobTimeout {
+	if ms := j.spec.TimeoutMs; ms > 0 {
 		timeout = s.cfg.MaxJobTimeout
+		if ms < timeout.Milliseconds() {
+			timeout = time.Duration(ms) * time.Millisecond
+		}
 	}
-	ctx, cancel := context.WithTimeout(j.ctx, timeout)
+	ctx, cancel := context.WithTimeout(j.ctx, min(timeout, s.cfg.MaxJobTimeout))
 	defer cancel()
 
-	var err error
-	for attempt := 1; ; attempt++ {
-		j.attempts = attempt
-		j.out.Reset()
-		err = s.attempt(ctx, j, attempt)
-		if err == nil || attempt > s.cfg.RetryMax || !transient(err) {
-			break
-		}
-		// Transient fault with retry budget left: back off with a
-		// seeded jitter so synchronized failures don't retry in
-		// lockstep, then go again.
-		mRetries.Inc()
-		s.retries.Add(1)
-		backoff := s.cfg.RetryBase << (attempt - 1)
-		backoff += time.Duration(mix(s.cfg.Seed, j.id, uint64(attempt)) % uint64(s.cfg.RetryBase))
-		if err := s.sleep(ctx, backoff); err != nil {
-			break
-		}
-	}
-	if err != nil {
+	if err := s.run(ctx, j); err != nil {
 		j.err = s.classify(j, err)
-	}
-
-	keys := j.breakerKeys()
-	switch {
-	case j.err == nil:
-		s.brk.successAll(keys...)
-	case breakerRelevant(j.err.Code):
-		if opened := s.brk.failureAll(keys...); len(opened) > 0 {
-			mBreaker.Add(uint64(len(opened)))
-		}
-	default:
-		// No verdict (client went away, bad input surfaced late):
-		// release any half-open probe slot without moving the circuit.
-		s.brk.forgiveAll(keys...)
 	}
 }
 
-// attempt runs the job body once, converting a panic anywhere under the
-// replay into an error so the worker survives. The fault plan, when armed
-// for this attempt's seed, wraps every trace the attempt reads.
-func (s *Server) attempt(ctx context.Context, j *job, attempt int) (err error) {
+// run executes the job body, converting a panic anywhere under the replay
+// into an error so the worker survives.
+func (s *Server) run(ctx context.Context, j *job) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			mPanics.Inc()
 			err = fmt.Errorf("%w: recovered panic: %v", errPanic, r)
 		}
 	}()
-
-	seed := int64(mix(s.cfg.Seed, j.id, uint64(attempt)))
-	chaos := s.cfg.Chaos != nil && s.cfg.Chaos.Fires(seed)
-	wrap := func(r trace.Reader) trace.Reader { return r }
-	if chaos {
-		wrap = func(r trace.Reader) trace.Reader { return s.cfg.Chaos.Wrap(r, seed) }
-	}
 
 	o := experiment.Options{
 		Out:         &j.out,
@@ -97,51 +57,44 @@ func (s *Server) attempt(ctx context.Context, j *job, attempt int) (err error) {
 		Parallelism: j.spec.Parallelism,
 		Shards:      j.spec.Shards,
 		Ctx:         ctx,
+		Cache:       s.cache,
 	}
-	if chaos {
-		// A faulted attempt gets a private cache so a materialized
-		// faulted stream can never poison clean runs (or later
-		// attempts of this job).
-		o.Cache = experiment.NewWrappedTraceCache(wrap)
-	} else {
-		o.Cache = s.cache
-	}
-
 	switch {
 	case j.traceBytes != nil:
 		r, openErr := openTraceBytes(j.traceBytes)
 		if openErr != nil {
 			return fmt.Errorf("%w: %w", errBadTrace, openErr)
 		}
-		return experiment.ClassifyReader(o, wrap(r), j.spec.Block, j.spec.Scheme)
+		return experiment.ClassifyReader(o, s.wrap(r), j.spec.Block, j.spec.Scheme)
 	case j.spec.Experiment == "classify":
 		w, getErr := workload.Get(j.spec.Workload)
 		if getErr != nil {
 			return fmt.Errorf("%w: %w", errBadTrace, getErr)
 		}
-		return experiment.ClassifyReader(o, wrap(w.Reader()), j.spec.Block, j.spec.Scheme)
+		return experiment.ClassifyReader(o, s.wrap(w.Reader()), j.spec.Block, j.spec.Scheme)
 	default:
 		return experiment.RunNamed(j.spec.Experiment, o, j.spec.Block)
 	}
 }
 
-// Internal sentinels attempt uses to smuggle a classification through the
+// wrap applies the test-only reader hook, if set.
+func (s *Server) wrap(r trace.Reader) trace.Reader {
+	if s.cfg.wrap == nil {
+		return r
+	}
+	return s.cfg.wrap(r)
+}
+
+// Internal sentinels run uses to smuggle a classification through the
 // error return; classify maps them onto codes.
 var (
 	errPanic    = errors.New("serve: job panicked")
 	errBadTrace = errors.New("serve: invalid job input")
 )
 
-// transient reports whether a retry of the same attempt can succeed:
-// injected/stream faults are transient; everything else (panics, client
-// errors, deadlines) is not.
-func transient(err error) bool {
-	return errors.Is(err, fault.ErrInjected)
-}
-
-// classify maps a failed job's final error onto its typed JobError.
+// classify maps a failed job's error onto its typed JobError.
 func (s *Server) classify(j *job, err error) *JobError {
-	je := &JobError{Job: j.id, Tenant: j.spec.tenant(), Attempts: j.attempts, Err: err}
+	je := &JobError{Job: j.id, Tenant: j.spec.tenant(), Err: err}
 	switch {
 	case errors.Is(err, errBadTrace):
 		je.Code = CodeBadRequest
@@ -159,47 +112,6 @@ func (s *Server) classify(j *job, err error) *JobError {
 		je.Code = CodeInternal
 	}
 	return je
-}
-
-// breakerRelevant reports whether a failure code counts against the job's
-// circuits. Client errors and load-shedding don't: only server-side
-// misbehavior (faults, panics, timeouts, internal errors) quarantines.
-func breakerRelevant(code Code) bool {
-	switch code {
-	case CodeFault, CodePanic, CodeTimeout, CodeInternal:
-		return true
-	}
-	return false
-}
-
-// sleep is a ctx-aware pause; tests inject a recording fake through
-// Server.sleep.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// mix folds the server seed, job id and attempt into one well-spread
-// 64-bit value (splitmix64 over the xor-folded inputs) — the same per-run
-// seed feeds the retry jitter and the chaos plan, so a given (job,
-// attempt) is fully reproducible for a fixed server seed.
-func mix(seed int64, id, attempt uint64) uint64 {
-	z := uint64(seed) ^ id*0x9e3779b97f4a7c15 ^ attempt*0xbf58476d1ce4e5b9
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	if z == 0 {
-		z = 1
-	}
-	return z
 }
 
 // openTraceBytes opens an uploaded trace body: the packed store format

@@ -1,13 +1,13 @@
 // Package serve is the long-running classification service: clients
 // submit jobs — JSON specs naming a workload/experiment, or uploaded
 // trace bodies — over HTTP and get back the exact tables the offline CLI
-// renders. The server is built for multi-tenant robustness: a bounded
+// renders. A job's output is a pure function of its spec and trace, so the
+// server carries only the robustness that can change an outcome: a bounded
 // admission-controlled queue (429 + Retry-After under overload, per-tenant
-// in-flight caps), per-job deadlines on the repo's context plumbing, panic
-// recovery into typed job errors, retry with seeded jittered backoff
-// around transient trace faults, a circuit breaker that quarantines
-// tenants and workloads after repeated failures, and a graceful drain on
-// SIGINT/SIGTERM that flips /readyz before the listener stops accepting.
+// in-flight caps), per-job deadlines and client-disconnect cancellation on
+// the repo's context plumbing, panic recovery into typed job errors, and a
+// graceful drain on SIGINT/SIGTERM that flips /readyz before the listener
+// stops accepting.
 package serve
 
 import (
@@ -22,9 +22,9 @@ import (
 	"time"
 
 	"repro/internal/experiment"
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sweep"
+	"repro/internal/trace"
 )
 
 // Config tunes the server. The zero value is not usable; withDefaults
@@ -47,28 +47,17 @@ type Config struct {
 	// DrainTimeout bounds the graceful drain; in-flight jobs still
 	// running at the deadline are force-canceled.
 	DrainTimeout time.Duration
-	// RetryMax is the number of retries after a transient fault (so
-	// RetryMax+1 attempts in total); RetryBase is the backoff unit,
-	// doubled per attempt with seeded jitter.
-	RetryMax  int
-	RetryBase time.Duration
-	// BreakerThreshold consecutive breaker-relevant failures open a
-	// tenant/workload circuit for BreakerCooldown.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// RetryAfter is the hint returned with 429/503 responses.
 	RetryAfter time.Duration
 	// MaxBodyBytes bounds an uploaded trace body.
 	MaxBodyBytes int64
 	// MaxParallelism clamps a spec's parallelism and shards.
 	MaxParallelism int
-	// Seed feeds the retry jitter and the chaos plan; a fixed seed makes
-	// every (job, attempt) reproducible.
-	Seed int64
-	// Chaos, when non-nil, arms fault injection: each job attempt whose
-	// derived seed fires the plan runs with its trace streams wrapped by
-	// the plan's injectors. Nil serves clean.
-	Chaos *fault.Plan
+
+	// wrap, when non-nil, wraps the trace reader a classify or upload job
+	// reads; the in-package drain and chaos tests inject their stalls and
+	// faults through it. Nil in production.
+	wrap func(trace.Reader) trace.Reader
 }
 
 func (c Config) withDefaults() Config {
@@ -96,20 +85,6 @@ func (c Config) withDefaults() Config {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 15 * time.Second
 	}
-	if c.RetryMax < 0 {
-		c.RetryMax = 0
-	} else if c.RetryMax == 0 {
-		c.RetryMax = 2
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 50 * time.Millisecond
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 10 * time.Second
-	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
@@ -119,9 +94,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxParallelism <= 0 {
 		c.MaxParallelism = 4 * runtime.GOMAXPROCS(0)
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	return c
 }
 
@@ -130,8 +102,8 @@ func (c Config) withDefaults() Config {
 // exit-code table maps it to 3 (partial results) without a new code.
 var ErrDrainForced = fmt.Errorf("serve: drain deadline exceeded: %w", experiment.ErrPartial)
 
-// Server is one serving process: listener, admission controller, breaker,
-// shared trace cache and worker pool.
+// Server is one serving process: listener, admission controller, shared
+// trace cache and worker pool.
 type Server struct {
 	cfg Config
 
@@ -139,7 +111,6 @@ type Server struct {
 	srv *http.Server
 
 	adm   *admitter
-	brk   *breaker
 	cache *sweep.TraceCache
 
 	// jobs is the bounded queue. Admission reserves a slot before a job
@@ -162,16 +133,12 @@ type Server struct {
 	nextID atomic.Uint64
 	wg     sync.WaitGroup
 
-	// sleep is the retry backoff pause; tests swap in a recording fake.
-	sleep func(context.Context, time.Duration) error
-
 	// Server-local mirrors of the obs counters, for /v1/stats (the obs
 	// registry is process-global; these are this server's own).
 	admitted  atomic.Uint64
 	rejected  atomic.Uint64
 	completed atomic.Uint64
 	failed    atomic.Uint64
-	retries   atomic.Uint64
 	forced    atomic.Uint64
 }
 
@@ -187,12 +154,10 @@ func New(cfg Config) (*Server, error) {
 		cfg:         cfg,
 		ln:          ln,
 		adm:         newAdmitter(cfg.QueueDepth, cfg.TenantCap),
-		brk:         newBreaker(breakerPolicy{threshold: cfg.BreakerThreshold, cooldown: cfg.BreakerCooldown}, nil),
 		cache:       experiment.NewTraceCache(),
 		jobs:        make(chan *job, cfg.QueueDepth),
 		jobsCtx:     jobsCtx,
 		forceCancel: forceCancel,
-		sleep:       sleepCtx,
 	}
 	s.srv = &http.Server{Handler: s.handler()}
 	return s, nil

@@ -11,11 +11,14 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/experiment"
 	"repro/internal/fault"
+	"repro/internal/trace"
+	"repro/internal/tracestore"
 	"repro/internal/workload"
 )
 
@@ -80,35 +83,45 @@ func (ts *testServer) drain(t *testing.T) error {
 
 // submitResult is one submission's outcome.
 type submitResult struct {
-	status   int
-	body     []byte
-	code     string // envelope error code for non-200s
-	attempts string // X-Job-Attempts header
-	retry    string // Retry-After header
+	status int
+	body   []byte
+	code   string // envelope error code for non-200s
+	retry  string // Retry-After header
 }
 
 // submit posts a JSON job spec and decodes the outcome.
 func submit(t *testing.T, base, spec string) submitResult {
 	t.Helper()
-	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(spec))
+	return post(t, base+"/v1/jobs", "application/json", []byte(spec))
+}
+
+// upload posts raw trace bytes with the classify parameters in query.
+func upload(t *testing.T, base, query string, body []byte) submitResult {
+	t.Helper()
+	return post(t, base+"/v1/jobs?"+query, "application/octet-stream", body)
+}
+
+// post submits one body and decodes the outcome.
+func post(t *testing.T, url, contentType string, body []byte) submitResult {
+	t.Helper()
+	resp, err := http.Post(url, contentType, bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	out, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatalf("submit read: %v", err)
 	}
 	res := submitResult{
-		status:   resp.StatusCode,
-		body:     body,
-		attempts: resp.Header.Get("X-Job-Attempts"),
-		retry:    resp.Header.Get("Retry-After"),
+		status: resp.StatusCode,
+		body:   out,
+		retry:  resp.Header.Get("Retry-After"),
 	}
 	if resp.StatusCode != http.StatusOK {
 		var env errorEnvelope
-		if err := json.Unmarshal(body, &env); err != nil {
-			t.Fatalf("status %d with unparsable envelope %q: %v", resp.StatusCode, body, err)
+		if err := json.Unmarshal(out, &env); err != nil {
+			t.Fatalf("status %d with unparsable envelope %q: %v", resp.StatusCode, out, err)
 		}
 		res.code = string(env.Error.Code)
 	}
@@ -130,6 +143,40 @@ func offlineClassify(t *testing.T, name string, block int, scheme string) []byte
 	return buf.Bytes()
 }
 
+// smallBodies renders the first refs references of LU32 in both upload
+// formats: the v2 stream codec and the packed store (several segments).
+func smallBodies(tb testing.TB, refs int) (codec, packed []byte) {
+	tb.Helper()
+	w, err := workload.Get("LU32")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := w.Reader()
+	defer trace.CloseReader(r)
+	tr := trace.New(r.NumProcs())
+	for len(tr.Refs) < refs {
+		ref, err := r.Next()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tr.Append(ref)
+	}
+	var c, p bytes.Buffer
+	if err := trace.WriteBinary(&c, tr.Reader()); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := tracestore.Pack(&p, tr.Reader(), tracestore.WriterOptions{SegmentRefs: refs / 4}); err != nil {
+		tb.Fatal(err)
+	}
+	return c.Bytes(), p.Bytes()
+}
+
+// stallAll is a reader hook that parks every job for d before its first
+// reference.
+func stallAll(d time.Duration) func(trace.Reader) trace.Reader {
+	return func(r trace.Reader) trace.Reader { return fault.StallAt(r, 0, d) }
+}
+
 func TestSubmitClassifyMatchesOffline(t *testing.T) {
 	ts := startTestServer(t, Config{})
 	want := offlineClassify(t, "LU32", 64, "all")
@@ -139,9 +186,6 @@ func TestSubmitClassifyMatchesOffline(t *testing.T) {
 	}
 	if !bytes.Equal(res.body, want) {
 		t.Fatalf("server table differs from offline:\n--- want ---\n%s--- got ---\n%s", want, res.body)
-	}
-	if res.attempts != "1" {
-		t.Errorf("X-Job-Attempts = %q, want 1", res.attempts)
 	}
 	if err := ts.drain(t); err != nil {
 		t.Fatalf("clean drain returned %v", err)
@@ -164,28 +208,53 @@ func TestSubmitExperimentMatchesDriver(t *testing.T) {
 	}
 }
 
+// badSpecs are JSON specs validate rejects before admission, with the
+// status and code each gets. FuzzJobSpec seeds its corpus from them.
+var badSpecs = []struct {
+	name, spec string
+	status     int
+	code       Code
+}{
+	{"bad json", `{"experiment":`, http.StatusBadRequest, CodeBadRequest},
+	{"unknown field", `{"experiment":"classify","workload":"LU32","bogus":1}`, http.StatusBadRequest, CodeBadRequest},
+	{"missing experiment", `{}`, http.StatusBadRequest, CodeBadRequest},
+	{"classify without workload", `{"experiment":"classify"}`, http.StatusBadRequest, CodeBadRequest},
+	{"bad scheme", `{"experiment":"classify","workload":"LU32","scheme":"theirs"}`, http.StatusBadRequest, CodeBadRequest},
+	{"negative block", `{"experiment":"classify","workload":"LU32","block":-1}`, http.StatusBadRequest, CodeBadRequest},
+	{"sub-word block", `{"experiment":"classify","workload":"LU32","block":3}`, http.StatusBadRequest, CodeBadRequest},
+	{"zero blocks entry", `{"experiment":"fig5","quick":true,"workloads":["LU32"],"blocks":[0]}`, http.StatusBadRequest, CodeBadRequest},
+	{"non-power-of-two blocks entry", `{"experiment":"fig5","quick":true,"workloads":["LU32"],"blocks":[24]}`, http.StatusBadRequest, CodeBadRequest},
+	{"unknown experiment", `{"experiment":"penalty"}`, http.StatusNotFound, CodeUnknown},
+	{"unknown workload", `{"experiment":"classify","workload":"NOPE"}`, http.StatusNotFound, CodeUnknown},
+	{"unknown sweep workload", `{"experiment":"fig5","workloads":["NOPE"]}`, http.StatusNotFound, CodeUnknown},
+	{"unknown protocol", `{"experiment":"fig6","quick":true,"workloads":["LU32"],"protocols":["BOGUS"]}`, http.StatusNotFound, CodeUnknown},
+}
+
 func TestSubmitRejectsBadSpecs(t *testing.T) {
 	ts := startTestServer(t, Config{})
-	cases := []struct {
-		name, spec string
-		status     int
-		code       Code
-	}{
-		{"bad json", `{"experiment":`, http.StatusBadRequest, CodeBadRequest},
-		{"unknown field", `{"experiment":"classify","workload":"LU32","bogus":1}`, http.StatusBadRequest, CodeBadRequest},
-		{"missing experiment", `{}`, http.StatusBadRequest, CodeBadRequest},
-		{"classify without workload", `{"experiment":"classify"}`, http.StatusBadRequest, CodeBadRequest},
-		{"bad scheme", `{"experiment":"classify","workload":"LU32","scheme":"theirs"}`, http.StatusBadRequest, CodeBadRequest},
-		{"negative block", `{"experiment":"classify","workload":"LU32","block":-1}`, http.StatusBadRequest, CodeBadRequest},
-		{"unknown experiment", `{"experiment":"penalty"}`, http.StatusNotFound, CodeUnknown},
-		{"unknown workload", `{"experiment":"classify","workload":"NOPE"}`, http.StatusNotFound, CodeUnknown},
-		{"unknown sweep workload", `{"experiment":"fig5","workloads":["NOPE"]}`, http.StatusNotFound, CodeUnknown},
-	}
-	for _, tc := range cases {
+	for _, tc := range badSpecs {
 		res := submit(t, ts.base, tc.spec)
 		if res.status != tc.status || res.code != string(tc.code) {
 			t.Errorf("%s: got %d/%s, want %d/%s", tc.name, res.status, res.code, tc.status, tc.code)
 		}
+	}
+	codec, _ := smallBodies(t, 64)
+	if res := upload(t, ts.base, "block=3", codec); res.status != http.StatusBadRequest || res.code != string(CodeBadRequest) {
+		t.Errorf("upload with block=3: got %d/%s, want 400/bad_request", res.status, res.code)
+	}
+}
+
+// TestHugeTimeoutIsClamped: a timeout_ms past what time.Duration can hold
+// is clamped to MaxJobTimeout, not wrapped into an expired deadline.
+func TestHugeTimeoutIsClamped(t *testing.T) {
+	ts := startTestServer(t, Config{})
+	want := offlineClassify(t, "LU32", 64, "all")
+	res := submit(t, ts.base, `{"experiment":"classify","workload":"LU32","timeout_ms":10000000000000}`)
+	if res.status != http.StatusOK {
+		t.Fatalf("status %d/%s: %s", res.status, res.code, res.body)
+	}
+	if !bytes.Equal(res.body, want) {
+		t.Fatal("server table differs from offline")
 	}
 }
 
@@ -197,8 +266,7 @@ func TestOverloadSheds429(t *testing.T) {
 		Workers:    1,
 		QueueDepth: 2,
 		TenantCap:  1,
-		Chaos:      fault.MustParsePlan("stall:0:400ms@1"),
-		Seed:       7,
+		wrap:       stallAll(400 * time.Millisecond),
 	})
 	spec := func(tenant string) string {
 		return fmt.Sprintf(`{"experiment":"classify","workload":"LU32","tenant":%q}`, tenant)
@@ -277,9 +345,8 @@ func TestOverloadSheds429(t *testing.T) {
 // in-flight jobs run to completion.
 func TestDrainReadyzRegression(t *testing.T) {
 	ts := startTestServer(t, Config{
-		Chaos:        fault.MustParsePlan("stall:0:1500ms@1"),
-		Seed:         7,
 		DrainTimeout: 20 * time.Second,
+		wrap:         stallAll(1500 * time.Millisecond),
 	})
 	slow := make(chan submitResult, 1)
 	go func() { slow <- submit(t, ts.base, `{"experiment":"classify","workload":"LU32"}`) }()
@@ -361,9 +428,8 @@ func TestDrainReadyzRegression(t *testing.T) {
 // partial result (exit 3 via experiment.ErrPartial).
 func TestForcedDrainCancelsJobs(t *testing.T) {
 	ts := startTestServer(t, Config{
-		Chaos:        fault.MustParsePlan("stall:0:1500ms@1"),
-		Seed:         7,
 		DrainTimeout: 150 * time.Millisecond,
+		wrap:         stallAll(1500 * time.Millisecond),
 	})
 	slow := make(chan submitResult, 1)
 	go func() { slow <- submit(t, ts.base, `{"experiment":"classify","workload":"LU32"}`) }()
@@ -392,14 +458,16 @@ func TestForcedDrainCancelsJobs(t *testing.T) {
 	}
 }
 
-// TestRetryExhaustionIsTypedFault: a plan that always faults burns the
-// full retry budget and surfaces as a 502 with the attempt count.
-func TestRetryExhaustionIsTypedFault(t *testing.T) {
+// TestInjectedFaultIsTyped502: an always-faulting reader surfaces as a 502
+// "fault" after one run — a job's output is a pure function of its input,
+// so nothing is retried.
+func TestInjectedFaultIsTyped502(t *testing.T) {
+	var runs atomic.Int64
 	ts := startTestServer(t, Config{
-		Chaos:     fault.MustParsePlan("error:50@1"),
-		RetryMax:  2,
-		RetryBase: time.Millisecond,
-		Seed:      7,
+		wrap: func(r trace.Reader) trace.Reader {
+			runs.Add(1)
+			return fault.ErrorAfter(r, 50, nil)
+		},
 	})
 	res := submit(t, ts.base, `{"experiment":"classify","workload":"LU32"}`)
 	if res.status != http.StatusBadGateway || res.code != string(CodeFault) {
@@ -409,60 +477,18 @@ func TestRetryExhaustionIsTypedFault(t *testing.T) {
 	if err := json.Unmarshal(res.body, &env); err != nil {
 		t.Fatal(err)
 	}
-	if env.Error.Attempts != 3 {
-		t.Errorf("attempts = %d, want 3 (1 + RetryMax)", env.Error.Attempts)
-	}
 	if !env.Error.Retryable {
 		t.Error("fault not marked retryable")
 	}
-	if got := ts.s.retries.Load(); got != 2 {
-		t.Errorf("retry counter = %d, want 2", got)
-	}
-}
-
-// TestBreakerQuarantinesOverHTTP: repeated faults open the tenant and
-// workload circuits; subsequent submissions shed with 503 "quarantined"
-// without touching the queue, and an unrelated workload still runs.
-func TestBreakerQuarantinesOverHTTP(t *testing.T) {
-	ts := startTestServer(t, Config{
-		Chaos:            fault.MustParsePlan("error:50@1"),
-		RetryMax:         0,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour,
-		Seed:             7,
-	})
-	spec := `{"experiment":"classify","workload":"LU32","tenant":"victim"}`
-	for i := 0; i < 2; i++ {
-		if res := submit(t, ts.base, spec); res.status != http.StatusBadGateway {
-			t.Fatalf("fault job %d: %d/%s", i, res.status, res.code)
-		}
-	}
-	res := submit(t, ts.base, spec)
-	if res.status != http.StatusServiceUnavailable || res.code != string(CodeQuarantined) {
-		t.Fatalf("got %d/%s, want 503/quarantined", res.status, res.code)
-	}
-	if res.retry == "" {
-		t.Error("quarantine without Retry-After")
-	}
-	// The workload circuit is open too: another tenant on the same
-	// workload is also quarantined.
-	res = submit(t, ts.base, `{"experiment":"classify","workload":"LU32","tenant":"other"}`)
-	if res.status != http.StatusServiceUnavailable || res.code != string(CodeQuarantined) {
-		t.Fatalf("workload circuit: got %d/%s, want 503/quarantined", res.status, res.code)
-	}
-	open := ts.s.brk.openKeys()
-	if open["tenant/victim"] != "open" || open["workload/LU32"] != "open" {
-		t.Errorf("open circuits = %v, want tenant/victim and workload/LU32", open)
+	if n := runs.Load(); n != 1 {
+		t.Errorf("job read its trace %d times, want 1", n)
 	}
 }
 
 // TestDeadlineIsTyped504: a spec deadline shorter than the job surfaces as
 // 504 deadline_exceeded.
 func TestDeadlineIsTyped504(t *testing.T) {
-	ts := startTestServer(t, Config{
-		Chaos: fault.MustParsePlan("stall:0:700ms@1"),
-		Seed:  7,
-	})
+	ts := startTestServer(t, Config{wrap: stallAll(700 * time.Millisecond)})
 	res := submit(t, ts.base, `{"experiment":"classify","workload":"LU32","timeout_ms":100}`)
 	if res.status != http.StatusGatewayTimeout || res.code != string(CodeTimeout) {
 		t.Fatalf("got %d/%s, want 504/deadline_exceeded", res.status, res.code)
@@ -470,7 +496,8 @@ func TestDeadlineIsTyped504(t *testing.T) {
 }
 
 // TestChaosLifecycleLeakFree is the acceptance run: ≥100 concurrent jobs
-// across tenants against a chaos-armed server, then a drain — every
+// across tenants against a server whose job readers fault (every third
+// fails after 200 refs, every fifth is slowed), then a drain — every
 // response typed, every clean table bit-identical to the offline bytes,
 // counters consistent, and no goroutine or slot leaks. Run under -race by
 // make serve-check.
@@ -480,13 +507,21 @@ func TestChaosLifecycleLeakFree(t *testing.T) {
 	}
 	base := runtime.NumGoroutine()
 
+	var readers, faulted atomic.Int64
 	ts := startTestServer(t, Config{
 		QueueDepth: 256,
 		TenantCap:  64,
-		Chaos:      fault.MustParsePlan("error:200@0.3,slow:20000:1ms@0.2"),
-		RetryMax:   3,
-		RetryBase:  time.Millisecond,
-		Seed:       42,
+		wrap: func(r trace.Reader) trace.Reader {
+			n := readers.Add(1)
+			if n%3 == 0 {
+				faulted.Add(1)
+				r = fault.ErrorAfter(r, 200, nil)
+			}
+			if n%5 == 0 {
+				r = fault.Stall(r, 20000, time.Millisecond)
+			}
+			return r
+		},
 	})
 	want := offlineClassify(t, "LU32", 64, "all")
 
@@ -521,7 +556,7 @@ func TestChaosLifecycleLeakFree(t *testing.T) {
 				t.Errorf("job %d: 429 with code %q", i, r.code)
 			}
 		case http.StatusServiceUnavailable:
-			if r.code != string(CodeQuarantined) && r.code != string(CodeCanceled) {
+			if r.code != string(CodeCanceled) {
 				t.Errorf("job %d: 503 with code %q", i, r.code)
 			}
 		default:
@@ -531,8 +566,11 @@ func TestChaosLifecycleLeakFree(t *testing.T) {
 	if okCount == 0 {
 		t.Error("no job succeeded under chaos")
 	}
-	if faultCount == 0 && ts.s.retries.Load() == 0 {
-		t.Error("chaos plan never fired (no faults, no retries)")
+	if faultCount == 0 {
+		t.Error("injected faults never surfaced")
+	}
+	if n := faulted.Load(); int64(faultCount) != n {
+		t.Errorf("%d faulted readers surfaced as %d 502s, want one each", n, faultCount)
 	}
 
 	// Counter consistency: everything admitted was processed.
