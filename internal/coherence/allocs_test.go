@@ -1,15 +1,18 @@
 package coherence
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
-// rdAllocRefs mixes loads, stores and acquires so the RD simulator exercises
-// its miss, invalidation-buffer and acquire-drain paths on every pass.
-func rdAllocRefs(procs, blocks int, g mem.Geometry) []trace.Ref {
+// allocRefs mixes loads, stores, acquires and releases so every schedule
+// exercises its miss and invalidation paths, and the delayed ones their
+// acquire drains (RD, SRD) and release flushes (SD, SRD, MAX), on every
+// pass.
+func allocRefs(procs, blocks int, g mem.Geometry) []trace.Ref {
 	refs := make([]trace.Ref, 0, 4096)
 	stride := mem.Addr(g.BlockBytes() / mem.WordBytes)
 	for i := 0; i < 4096; i++ {
@@ -20,6 +23,8 @@ func rdAllocRefs(procs, blocks int, g mem.Geometry) []trace.Ref {
 			refs = append(refs, trace.S(p, a))
 		case 3:
 			refs = append(refs, trace.A(p, 1))
+		case 5:
+			refs = append(refs, trace.R(p, 1))
 		default:
 			refs = append(refs, trace.L(p, a))
 		}
@@ -27,19 +32,29 @@ func rdAllocRefs(procs, blocks int, g mem.Geometry) []trace.Ref {
 	return refs
 }
 
-// TestRDSteadyStateAllocs pins the receive-delayed simulator's hot path to
-// zero steady-state allocations: the dense block table and the per-processor
-// pending lists (drained with retained capacity at each acquire) must absorb
-// a warmed-up pass without touching the heap.
-func TestRDSteadyStateAllocs(t *testing.T) {
-	g := mem.MustGeometry(64)
-	refs := rdAllocRefs(4, 64, g)
-	s := NewRD(4, g)
-	s.RefBatch(refs) // warm up: block table + pendList capacities
+// TestSchedulesSteadyStateAllocs pins every schedule's hot path to zero
+// steady-state allocations: the dense block table, the lifetime records and
+// the per-processor buffers (drained with retained capacity at each acquire
+// or release) must absorb a warmed-up pass without touching the heap.
+func TestSchedulesSteadyStateAllocs(t *testing.T) {
+	for _, name := range append(append([]string{}, Protocols...), ExtensionProtocols...) {
+		for _, block := range []int{64, 1024} {
+			t.Run(fmt.Sprintf("%s/B=%d", name, block), func(t *testing.T) {
+				g := mem.MustGeometry(block)
+				refs := allocRefs(4, 64, g)
+				sim, err := New(name, 4, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bc := sim.(trace.BatchConsumer)
+				bc.RefBatch(refs) // warm up: block table, lifetime records, buffer capacities
 
-	const ceiling = 0.0
-	got := testing.AllocsPerRun(10, func() { s.RefBatch(refs) })
-	if got > ceiling {
-		t.Fatalf("RD steady state allocates %.1f allocs per pass, ceiling %.1f", got, ceiling)
+				const ceiling = 0.0
+				got := testing.AllocsPerRun(10, func() { bc.RefBatch(refs) })
+				if got > ceiling {
+					t.Fatalf("%s steady state allocates %.1f allocs per pass, ceiling %.1f", name, got, ceiling)
+				}
+			})
+		}
 	}
 }

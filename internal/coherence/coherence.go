@@ -121,17 +121,26 @@ func (b *base) MissCount() uint64 { return b.misses }
 // UpgradeCount returns the ownership upgrades recorded so far.
 func (b *base) UpgradeCount() uint64 { return b.upgrades }
 
-// miss records a miss by p at a and opens its lifetime.
-func (b *base) miss(p int, a mem.Addr) {
+// miss records a miss by p on the block whose lifetime handle is h and
+// opens its lifetime.
+func (b *base) miss(p int, h uint32) {
 	b.misses++
-	b.life.OpenMiss(p, a)
+	b.life.OpenMiss(p, h)
 }
 
-// invalidate ends q's lifetime on block blk and counts one delivered
-// invalidation message.
-func (b *base) invalidate(q int, blk mem.Block) {
+// invalidate ends q's lifetime on the block whose lifetime handle is h and
+// counts one delivered invalidation message.
+func (b *base) invalidate(q int, h uint32) {
 	b.invalidations++
-	b.life.CloseInvalidate(q, blk)
+	b.life.CloseInvalidate(q, h)
+}
+
+// presentBlock is the block entry of the schedules that track nothing per
+// block but the copies (OTF, WU): the processors holding one, and the
+// block's lifetime handle.
+type presentBlock struct {
+	present uint64
+	life    uint32
 }
 
 func (b *base) result() Result {

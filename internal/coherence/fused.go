@@ -9,20 +9,25 @@ import (
 )
 
 // This file is the schedules' entry into the fused sweep: one replay of the
-// trace (per shard) feeds every protocol's simulator at once, so a whole
-// Fig. 6 panel row costs one generation instead of one per protocol.
+// trace (per shard) feeds a grid of simulators — every requested protocol at
+// every requested block size — at once, so a whole Fig. 6 panel row, or one
+// protocol of the §7 study at both of its block sizes, costs one generation
+// or one read of a packed file instead of one per simulator.
 //
 // The fusion is sound because the simulators are passive consumers: each
-// keeps its own lifetime table, buffers and credit books, keyed by block,
-// and reads nothing from the drive but the reference stream itself. Feeding
-// N simulators from one stream is therefore exactly N independent replays
-// of the same stream, and each Finish returns precisely the per-cell
-// result. Sharding composes the same way: every simulator's state is keyed
-// by block — the per-processor structures (RD/SRD invalidation buffers,
-// SD/SRD store buffers, MAX credit books) hold per-block entries — and
-// every shard's stream keeps every synchronization reference, so the
-// shard-native streams drive every simulator through the serial schedule
-// restricted to its blocks.
+// keeps its own block table (whose entries carry its lifetime handles),
+// lifetime records, buffers and credit books, and reads nothing from the
+// drive but the reference stream itself. Feeding N simulators from one
+// stream is therefore exactly N independent replays of the same stream, and
+// each Finish returns precisely the per-cell result. Sharding composes the
+// same way: every simulator's state is keyed by block — the per-processor
+// structures (RD/SRD invalidation buffers, SD/SRD store buffers, MAX credit
+// books) hold per-block entries — and every shard's stream keeps every
+// synchronization reference, so the shard-native streams drive every
+// simulator through the serial schedule restricted to its blocks. With
+// several block sizes the shards partition by the coarsest one: a finer
+// block never straddles a coarse block, so the partition is a partition of
+// every simulator's blocks.
 
 // MergeResults folds two shard Results of the same protocol into one:
 // every count is additive over a partition of the block space. The
@@ -78,16 +83,18 @@ func mergeResultSlices(a, b []Result) []Result {
 	return a
 }
 
-// RunProtocolsShardedOpen replays the named protocols in one fused pass
-// over shard-native streams: each shard opens its own reader via
-// open(shard) (see core.RunShardedOpen) and drives all the protocols'
-// simulators from it.
-// The results are returned in protocol order and are bit-for-bit the
-// results of RunWith per protocol, for every shard count; shards <= 1 is a
-// single serial fused replay. An unknown protocol name fails before any
-// reader is opened.
-func RunProtocolsShardedOpen(ctx context.Context, open func(shard int) (trace.Reader, error), procs int, g mem.Geometry, protos []string, shards int) ([]Result, error) {
-	if len(protos) == 0 {
+// RunProtocolsShardedOpen replays the named protocols at every geometry in
+// geos in one fused pass over shard-native streams: each shard opens its own
+// reader via open(shard) (see core.RunShardedOpen) and drives every
+// simulator of the grid from it, with the block space partitioned by the
+// coarsest geometry, so open(shard) may skip what that partition leaves to
+// other shards.
+// The results are returned geometry-major — protos[j] at geos[i] is result
+// i*len(protos)+j — and are bit-for-bit the results of RunWith per protocol
+// and geometry, for every shard count; shards <= 1 is a single serial fused
+// replay. An unknown protocol name fails before any reader is opened.
+func RunProtocolsShardedOpen(ctx context.Context, open func(shard int) (trace.Reader, error), procs int, geos []mem.Geometry, protos []string, shards int) ([]Result, error) {
+	if len(protos) == 0 || len(geos) == 0 {
 		return nil, nil
 	}
 	n := shards
@@ -96,17 +103,19 @@ func RunProtocolsShardedOpen(ctx context.Context, open func(shard int) (trace.Re
 	}
 	groups := make([]*multiSim, n)
 	for i := range groups {
-		sims := make([]Simulator, len(protos))
-		for j, name := range protos {
-			sim, err := New(name, procs, g)
-			if err != nil {
-				return nil, err
+		sims := make([]Simulator, 0, len(geos)*len(protos))
+		for _, g := range geos {
+			for _, name := range protos {
+				sim, err := New(name, procs, g)
+				if err != nil {
+					return nil, err
+				}
+				sims = append(sims, sim)
 			}
-			sims[j] = sim
 		}
 		groups[i] = &multiSim{sims: sims}
 	}
-	return core.RunShardedOpen(ctx, open, shards, trace.BlockShard(g, shards),
+	return core.RunShardedOpen(ctx, open, shards, trace.BlockShard(core.CoarsestGeometry(geos), shards),
 		func(i int) *multiSim { return groups[i] },
 		(*multiSim).finish,
 		mergeResultSlices)

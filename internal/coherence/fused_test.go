@@ -16,34 +16,47 @@ import (
 )
 
 // TestFusedProtocolsMatchSerial is the headline differential: the fused
-// pass equals RunWith for every schedule, geometry and shard count.
+// pass equals RunWith for every schedule, geometry and shard count, both
+// one geometry at a time and with both geometries in one grid (partitioned
+// by the coarser block size, as the §7 study runs it).
 func TestFusedProtocolsMatchSerial(t *testing.T) {
 	protos := shardedProtocols()
+	geos := []mem.Geometry{mem.MustGeometry(8), mem.MustGeometry(64)}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomSyncTrace(rng, 6, 700, 56)
 		open := func(int) (trace.Reader, error) { return tr.Reader(), nil }
-		for _, g := range []mem.Geometry{mem.MustGeometry(8), mem.MustGeometry(64)} {
-			want := make([]Result, len(protos))
-			for i, name := range protos {
+		var want []Result // geometry-major, like the grid's results
+		for _, g := range geos {
+			for _, name := range protos {
 				res, err := RunWith(name, tr.Reader(), g)
 				if err != nil {
 					t.Log(err)
 					return false
 				}
-				want[i] = res
+				want = append(want, res)
 			}
-			for _, n := range shardCounts {
-				got, err := RunProtocolsShardedOpen(context.Background(), open, tr.Procs, g, protos, n)
+		}
+		for _, n := range shardCounts {
+			var got []Result
+			for _, g := range geos {
+				res, err := RunProtocolsShardedOpen(context.Background(), open, tr.Procs, []mem.Geometry{g}, protos, n)
 				if err != nil {
 					t.Log(err)
 					return false
 				}
-				for i := range protos {
-					if got[i] != want[i] {
-						t.Logf("%s %v shards=%d:\n got %+v\nwant %+v", protos[i], g, n, got[i], want[i])
-						return false
-					}
+				got = append(got, res...)
+			}
+			grid, err := RunProtocolsShardedOpen(context.Background(), open, tr.Procs, geos, protos, n)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			for i := range want {
+				g := geos[i/len(protos)]
+				if got[i] != want[i] || grid[i] != want[i] {
+					t.Logf("%s %v shards=%d:\n got %+v\ngrid %+v\nwant %+v", protos[i%len(protos)], g, n, got[i], grid[i], want[i])
+					return false
 				}
 			}
 		}

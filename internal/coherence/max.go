@@ -37,6 +37,7 @@ type MAX struct {
 
 type maxBlock struct {
 	present uint64
+	life    uint32 // lifetime handle
 	owner   int8
 	// issued is the arena handle of per-sender credit counts since that
 	// sender's last release; consumed the handle of per-(sender,receiver)
@@ -60,6 +61,7 @@ func (s *MAX) block(b mem.Block) *maxBlock {
 	mb, existed := s.blocks.GetOrPut(uint64(b))
 	if !existed {
 		mb.owner = -1
+		mb.life = s.life.NewBlock(b)
 	}
 	return mb
 }
@@ -93,22 +95,22 @@ func (s *MAX) access(p int, a mem.Addr, store bool) {
 	// before the access so the access misses.
 	if mb.present&bit != 0 && s.spendCredit(mb, p) {
 		mb.present &^= bit
-		s.invalidate(p, blk)
+		s.invalidate(p, mb.life)
 	}
 
 	missed := mb.present&bit == 0
 	if missed {
-		s.miss(p, a)
+		s.miss(p, mb.life)
 		mb.present |= bit
 	}
-	s.life.Access(p, a)
+	s.life.Access(p, mb.life, a)
 
 	if store {
 		if !missed && mb.owner != int8(p) {
 			s.upgrades++
 		}
 		mb.owner = int8(p)
-		s.life.RecordStore(p, a)
+		s.life.RecordStore(p, mb.life, a)
 		// Issue one credit per remote processor.
 		if mb.issued == 0 {
 			mb.issued = s.issuedSlab.Alloc()
@@ -175,7 +177,7 @@ func (s *MAX) releaseCredits(p int) {
 				continue // every credit already spent on q
 			}
 			mb.present &^= qbit
-			s.invalidate(q, blk)
+			s.invalidate(q, mb.life)
 		}
 		issued[p] = 0
 		if mb.consumed != 0 {

@@ -24,6 +24,7 @@ type MIN struct {
 type minBlock struct {
 	present uint64 // procs with a copy
 	pend    uint32 // arena handle, per word: procs with a buffered invalidation
+	life    uint32 // lifetime handle
 }
 
 // NewMIN returns a MIN simulator.
@@ -39,6 +40,7 @@ func (s *MIN) block(b mem.Block) *minBlock {
 	mb, existed := s.blocks.GetOrPut(uint64(b))
 	if !existed {
 		mb.pend = s.slab.Alloc()
+		mb.life = s.life.NewBlock(b)
 	}
 	return mb
 }
@@ -50,23 +52,22 @@ func (s *MIN) Ref(r trace.Ref) {
 	}
 	s.dataRefs++
 	p := int(r.Proc)
-	blk := s.g.BlockOf(r.Addr)
-	mb := s.block(blk)
+	mb := s.block(s.g.BlockOf(r.Addr))
 	pend := s.slab.Slice(mb.pend)
 	bit := uint64(1) << uint(p)
 	off := s.g.OffsetOf(r.Addr)
 
 	switch {
 	case mb.present&bit == 0: // cold-path miss: allocate (also on writes)
-		s.miss(p, r.Addr)
+		s.miss(p, mb.life)
 		mb.present |= bit
 		clearPending(pend, bit)
 	case pend[off]&bit != 0: // buffered invalidation on this word
-		s.life.CloseInvalidate(p, blk)
-		s.miss(p, r.Addr) // refetch a fresh copy
+		s.life.CloseInvalidate(p, mb.life)
+		s.miss(p, mb.life) // refetch a fresh copy
 		clearPending(pend, bit)
 	}
-	s.life.Access(p, r.Addr)
+	s.life.Access(p, mb.life, r.Addr)
 
 	if r.Kind == trace.Store {
 		s.writeThroughs++
@@ -77,7 +78,7 @@ func (s *MIN) Ref(r trace.Ref) {
 			s.invalidations += uint64(popcount(sharers))
 			pend[off] |= sharers
 		}
-		s.life.RecordStore(p, r.Addr)
+		s.life.RecordStore(p, mb.life, r.Addr)
 	}
 }
 

@@ -12,12 +12,12 @@ import (
 // miss decomposition is exactly the paper's Appendix A classification.
 type OTF struct {
 	base
-	present *dense.Map[uint64]
+	blocks *dense.Map[presentBlock]
 }
 
 // NewOTF returns an on-the-fly simulator.
 func NewOTF(procs int, g mem.Geometry) *OTF {
-	return &OTF{base: newBase("OTF", procs, g), present: dense.NewMap[uint64](0)}
+	return &OTF{base: newBase("OTF", procs, g), blocks: dense.NewMap[presentBlock](0)}
 }
 
 // Ref implements trace.Consumer. Synchronization references are free under
@@ -31,24 +31,27 @@ func (s *OTF) Ref(r trace.Ref) {
 	blk := s.g.BlockOf(r.Addr)
 	bit := uint64(1) << uint(p)
 
-	present, _ := s.present.GetOrPut(uint64(blk))
-	missed := *present&bit == 0
-	if missed {
-		s.miss(p, r.Addr)
-		*present |= bit
+	pb, existed := s.blocks.GetOrPut(uint64(blk))
+	if !existed {
+		pb.life = s.life.NewBlock(blk)
 	}
-	s.life.Access(p, r.Addr)
+	missed := pb.present&bit == 0
+	if missed {
+		s.miss(p, pb.life)
+		pb.present |= bit
+	}
+	s.life.Access(p, pb.life, r.Addr)
 
 	if r.Kind == trace.Store {
-		others := *present &^ bit
+		others := pb.present &^ bit
 		if others != 0 {
 			if !missed {
 				s.upgrades++ // ownership taken without a miss
 			}
-			forEachProc(others, func(q int) { s.invalidate(q, blk) })
-			*present = bit
+			forEachProc(others, func(q int) { s.invalidate(q, pb.life) })
+			pb.present = bit
 		}
-		s.life.RecordStore(p, r.Addr)
+		s.life.RecordStore(p, pb.life, r.Addr)
 	}
 }
 

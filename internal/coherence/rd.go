@@ -22,6 +22,7 @@ type RD struct {
 type rdBlock struct {
 	present uint64 // procs with a copy (possibly stale)
 	pending uint64 // procs whose copy has a buffered invalidation
+	life    uint32 // lifetime handle
 	owner   int8
 }
 
@@ -38,6 +39,7 @@ func (s *RD) block(b mem.Block) *rdBlock {
 	rb, existed := s.blocks.GetOrPut(uint64(b))
 	if !existed {
 		rb.owner = -1
+		rb.life = s.life.NewBlock(b)
 	}
 	return rb
 }
@@ -68,12 +70,12 @@ func (s *RD) load(p int, a mem.Addr) {
 	rb := s.block(blk)
 	bit := uint64(1) << uint(p)
 	if rb.present&bit == 0 {
-		s.miss(p, a)
+		s.miss(p, rb.life)
 		rb.present |= bit
 		rb.pending &^= bit // fresh copy: buffered invalidation satisfied
 	}
 	// A stale copy still hits: the invalidation waits for the acquire.
-	s.life.Access(p, a)
+	s.life.Access(p, rb.life, a)
 }
 
 func (s *RD) store(p int, a mem.Addr) {
@@ -85,20 +87,20 @@ func (s *RD) store(p int, a mem.Addr) {
 	if rb.owner != int8(p) {
 		switch {
 		case rb.present&bit == 0:
-			s.miss(p, a)
+			s.miss(p, rb.life)
 			rb.present |= bit
 			rb.pending &^= bit
 		case rb.pending&bit != 0:
 			// Ownership on a stale copy costs a miss (§2.2).
-			s.life.CloseInvalidate(p, blk)
-			s.miss(p, a)
+			s.life.CloseInvalidate(p, rb.life)
+			s.miss(p, rb.life)
 			rb.pending &^= bit
 		default:
 			s.upgrades++
 		}
 		rb.owner = int8(p)
 	}
-	s.life.Access(p, a)
+	s.life.Access(p, rb.life, a)
 
 	// Send invalidations immediately; they sit in the receivers'
 	// buffers until their next acquire.
@@ -111,7 +113,7 @@ func (s *RD) store(p int, a mem.Addr) {
 			s.pendList[q] = append(s.pendList[q], blk)
 		})
 	}
-	s.life.RecordStore(p, a)
+	s.life.RecordStore(p, rb.life, a)
 }
 
 func (s *RD) acquire(p int) {
@@ -123,7 +125,7 @@ func (s *RD) acquire(p int) {
 		}
 		rb.pending &^= bit
 		rb.present &^= bit
-		s.life.CloseInvalidate(p, blk)
+		s.life.CloseInvalidate(p, rb.life)
 	}
 	s.pendList[p] = s.pendList[p][:0]
 }

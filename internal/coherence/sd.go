@@ -14,20 +14,14 @@ import (
 type SD struct {
 	base
 	blocks  *dense.Map[sdBlock]
-	buffers [][]sdPending // per proc: blocks with buffered stores
+	buffers [][]mem.Block // per proc: blocks with buffered stores
 }
 
 type sdBlock struct {
 	present  uint64
 	buffered uint64 // procs holding a buffered store to this block
+	life     uint32 // lifetime handle
 	owner    int8
-}
-
-// sdPending remembers one buffered-store block and a word address inside it
-// (used to reopen a lifetime if the flush has to refetch).
-type sdPending struct {
-	blk  mem.Block
-	addr mem.Addr
 }
 
 // NewSD returns a send-delayed simulator.
@@ -35,7 +29,7 @@ func NewSD(procs int, g mem.Geometry) *SD {
 	return &SD{
 		base:    newBase("SD", procs, g),
 		blocks:  dense.NewMap[sdBlock](0),
-		buffers: make([][]sdPending, procs),
+		buffers: make([][]mem.Block, procs),
 	}
 }
 
@@ -43,6 +37,7 @@ func (s *SD) block(b mem.Block) *sdBlock {
 	sb, existed := s.blocks.GetOrPut(uint64(b))
 	if !existed {
 		sb.owner = -1
+		sb.life = s.life.NewBlock(b)
 	}
 	return sb
 }
@@ -72,10 +67,10 @@ func (s *SD) load(p int, a mem.Addr) {
 	sb := s.block(s.g.BlockOf(a))
 	bit := uint64(1) << uint(p)
 	if sb.present&bit == 0 {
-		s.miss(p, a)
+		s.miss(p, sb.life)
 		sb.present |= bit
 	}
-	s.life.Access(p, a)
+	s.life.Access(p, sb.life, a)
 }
 
 func (s *SD) store(p int, a mem.Addr) {
@@ -87,19 +82,19 @@ func (s *SD) store(p int, a mem.Addr) {
 	if sb.owner == int8(p) {
 		// The owner's store completes without delay: invalidate any
 		// copies that appeared since it took ownership.
-		s.invalidateSharers(sb, blk, bit)
+		s.invalidateSharers(sb, bit)
 	} else {
 		if sb.present&bit == 0 {
-			s.miss(p, a) // the data is needed now; only the send is delayed
+			s.miss(p, sb.life) // the data is needed now; only the send is delayed
 			sb.present |= bit
 		}
 		if sb.buffered&bit == 0 {
 			sb.buffered |= bit
-			s.buffers[p] = append(s.buffers[p], sdPending{blk: blk, addr: a})
+			s.buffers[p] = append(s.buffers[p], blk)
 		}
 	}
-	s.life.Access(p, a)
-	s.life.RecordStore(p, a)
+	s.life.Access(p, sb.life, a)
+	s.life.RecordStore(p, sb.life, a)
 }
 
 // release flushes the processor's store buffer: each buffered block's
@@ -108,29 +103,29 @@ func (s *SD) store(p int, a mem.Addr) {
 // buffered store and the release must be refetched: a miss.
 func (s *SD) release(p int) {
 	bit := uint64(1) << uint(p)
-	for _, pend := range s.buffers[p] {
-		sb := s.blocks.Get(uint64(pend.blk))
+	for _, blk := range s.buffers[p] {
+		sb := s.blocks.Get(uint64(blk))
 		if sb.present&bit == 0 {
 			// Someone else took ownership in between and
 			// invalidated our copy; refetch to complete the store.
-			s.miss(p, pend.addr)
+			s.miss(p, sb.life)
 			sb.present |= bit
 		} else if sb.owner != int8(p) {
 			s.upgrades++
 		}
 		sb.owner = int8(p)
-		s.invalidateSharers(sb, pend.blk, bit)
+		s.invalidateSharers(sb, bit)
 		sb.buffered &^= bit
 	}
 	s.buffers[p] = s.buffers[p][:0]
 }
 
-func (s *SD) invalidateSharers(sb *sdBlock, blk mem.Block, bit uint64) {
+func (s *SD) invalidateSharers(sb *sdBlock, bit uint64) {
 	sharers := sb.present &^ bit
 	if sharers == 0 {
 		return
 	}
-	forEachProc(sharers, func(q int) { s.invalidate(q, blk) })
+	forEachProc(sharers, func(q int) { s.invalidate(q, sb.life) })
 	sb.present &= bit
 }
 

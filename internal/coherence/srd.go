@@ -13,7 +13,7 @@ import (
 type SRD struct {
 	base
 	blocks   *dense.Map[srdBlock]
-	buffers  [][]sdPending // per proc: blocks with buffered stores
+	buffers  [][]mem.Block // per proc: blocks with buffered stores
 	pendList [][]mem.Block // per proc: blocks with buffered received invalidations
 }
 
@@ -21,6 +21,7 @@ type srdBlock struct {
 	present  uint64
 	pending  uint64 // procs whose copy has a buffered received invalidation
 	buffered uint64 // procs holding a buffered store to this block
+	life     uint32 // lifetime handle
 	owner    int8
 }
 
@@ -29,7 +30,7 @@ func NewSRD(procs int, g mem.Geometry) *SRD {
 	return &SRD{
 		base:     newBase("SRD", procs, g),
 		blocks:   dense.NewMap[srdBlock](0),
-		buffers:  make([][]sdPending, procs),
+		buffers:  make([][]mem.Block, procs),
 		pendList: make([][]mem.Block, procs),
 	}
 }
@@ -38,6 +39,7 @@ func (s *SRD) block(b mem.Block) *srdBlock {
 	sb, existed := s.blocks.GetOrPut(uint64(b))
 	if !existed {
 		sb.owner = -1
+		sb.life = s.life.NewBlock(b)
 	}
 	return sb
 }
@@ -69,11 +71,11 @@ func (s *SRD) load(p int, a mem.Addr) {
 	sb := s.block(s.g.BlockOf(a))
 	bit := uint64(1) << uint(p)
 	if sb.present&bit == 0 {
-		s.miss(p, a)
+		s.miss(p, sb.life)
 		sb.present |= bit
 		sb.pending &^= bit
 	}
-	s.life.Access(p, a)
+	s.life.Access(p, sb.life, a)
 }
 
 func (s *SRD) store(p int, a mem.Addr) {
@@ -88,41 +90,41 @@ func (s *SRD) store(p int, a mem.Addr) {
 		s.sendInvalidations(sb, blk, bit)
 	} else {
 		if sb.present&bit == 0 {
-			s.miss(p, a)
+			s.miss(p, sb.life)
 			sb.present |= bit
 			sb.pending &^= bit
 		}
 		if sb.buffered&bit == 0 {
 			sb.buffered |= bit
-			s.buffers[p] = append(s.buffers[p], sdPending{blk: blk, addr: a})
+			s.buffers[p] = append(s.buffers[p], blk)
 		}
 	}
-	s.life.Access(p, a)
-	s.life.RecordStore(p, a)
+	s.life.Access(p, sb.life, a)
+	s.life.RecordStore(p, sb.life, a)
 }
 
 // release flushes the store buffer: ownership is acquired per block and one
 // combined invalidation per block goes out to the receivers' buffers.
 func (s *SRD) release(p int) {
 	bit := uint64(1) << uint(p)
-	for _, pend := range s.buffers[p] {
-		sb := s.blocks.Get(uint64(pend.blk))
+	for _, blk := range s.buffers[p] {
+		sb := s.blocks.Get(uint64(blk))
 		switch {
 		case sb.present&bit == 0:
-			s.miss(p, pend.addr)
+			s.miss(p, sb.life)
 			sb.present |= bit
 			sb.pending &^= bit
 		case sb.pending&bit != 0:
 			// Taking ownership on a copy with a buffered
 			// invalidation costs a miss (§2.2).
-			s.life.CloseInvalidate(p, pend.blk)
-			s.miss(p, pend.addr)
+			s.life.CloseInvalidate(p, sb.life)
+			s.miss(p, sb.life)
 			sb.pending &^= bit
 		case sb.owner != int8(p):
 			s.upgrades++
 		}
 		sb.owner = int8(p)
-		s.sendInvalidations(sb, pend.blk, bit)
+		s.sendInvalidations(sb, blk, bit)
 		sb.buffered &^= bit
 	}
 	s.buffers[p] = s.buffers[p][:0]
@@ -138,7 +140,7 @@ func (s *SRD) acquire(p int) {
 		}
 		sb.pending &^= bit
 		sb.present &^= bit
-		s.life.CloseInvalidate(p, blk)
+		s.life.CloseInvalidate(p, sb.life)
 	}
 	s.pendList[p] = s.pendList[p][:0]
 }

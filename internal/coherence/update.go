@@ -32,13 +32,13 @@ const DefaultCompetitiveThreshold = 4
 // message per remote copy per store.
 type WU struct {
 	base
-	present *dense.Map[uint64]
+	blocks  *dense.Map[presentBlock]
 	updates uint64
 }
 
 // NewWU returns a write-update simulator.
 func NewWU(procs int, g mem.Geometry) *WU {
-	return &WU{base: newBase("WU", procs, g), present: dense.NewMap[uint64](0)}
+	return &WU{base: newBase("WU", procs, g), blocks: dense.NewMap[presentBlock](0)}
 }
 
 // Ref implements trace.Consumer.
@@ -51,15 +51,18 @@ func (s *WU) Ref(r trace.Ref) {
 	blk := s.g.BlockOf(r.Addr)
 	bit := uint64(1) << uint(p)
 
-	present, _ := s.present.GetOrPut(uint64(blk))
-	if *present&bit == 0 {
-		s.miss(p, r.Addr)
-		*present |= bit
+	pb, existed := s.blocks.GetOrPut(uint64(blk))
+	if !existed {
+		pb.life = s.life.NewBlock(blk)
 	}
-	s.life.Access(p, r.Addr)
+	if pb.present&bit == 0 {
+		s.miss(p, pb.life)
+		pb.present |= bit
+	}
+	s.life.Access(p, pb.life, r.Addr)
 	if r.Kind == trace.Store {
-		s.updates += uint64(popcount(*present &^ bit))
-		s.life.RecordStore(p, r.Addr)
+		s.updates += uint64(popcount(pb.present &^ bit))
+		s.life.RecordStore(p, pb.life, r.Addr)
 	}
 }
 
@@ -94,6 +97,7 @@ type CU struct {
 type cuBlock struct {
 	present uint64
 	count   uint32 // arena handle, per processor: remaining remote updates before self-invalidation
+	life    uint32 // lifetime handle
 }
 
 // NewCU returns a competitive-update simulator with the given threshold
@@ -114,6 +118,7 @@ func (s *CU) block(b mem.Block) *cuBlock {
 	cb, existed := s.blocks.GetOrPut(uint64(b))
 	if !existed {
 		cb.count = s.slab.Alloc()
+		cb.life = s.life.NewBlock(b)
 	}
 	return cb
 }
@@ -131,11 +136,11 @@ func (s *CU) Ref(r trace.Ref) {
 	bit := uint64(1) << uint(p)
 
 	if cb.present&bit == 0 {
-		s.miss(p, r.Addr)
+		s.miss(p, cb.life)
 		cb.present |= bit
 	}
 	count[p] = s.threshold // local use resets the countdown
-	s.life.Access(p, r.Addr)
+	s.life.Access(p, cb.life, r.Addr)
 
 	if r.Kind == trace.Store {
 		sharers := cb.present &^ bit
@@ -144,10 +149,10 @@ func (s *CU) Ref(r trace.Ref) {
 			count[q]--
 			if count[q] == 0 {
 				cb.present &^= 1 << uint(q)
-				s.invalidate(q, blk)
+				s.invalidate(q, cb.life)
 			}
 		})
-		s.life.RecordStore(p, r.Addr)
+		s.life.RecordStore(p, cb.life, r.Addr)
 	}
 }
 

@@ -44,6 +44,7 @@ type wbwiBlock struct {
 	owner   int8   // current owner, -1 if none yet
 	pend    uint32 // arena handle, per word: procs with a buffered invalidation
 	cnt     uint32 // arena handle, per proc: buffered words (limited buffers only)
+	life    uint32 // lifetime handle
 }
 
 // NewWBWI returns a WBWI simulator with an unlimited invalidation buffer
@@ -101,6 +102,7 @@ func (s *WBWI) block(b mem.Block) *wbwiBlock {
 			}
 		}
 		wb.owner = -1
+		wb.life = s.life.NewBlock(b)
 		wb.pend = s.pendSlab.Alloc()
 		if s.limit > 0 {
 			wb.cnt = s.cntSlab.Alloc()
@@ -116,8 +118,7 @@ func (s *WBWI) Ref(r trace.Ref) {
 	}
 	s.dataRefs++
 	p := int(r.Proc)
-	blk := s.g.BlockOf(r.Addr)
-	wb := s.block(blk)
+	wb := s.block(s.g.BlockOf(r.Addr))
 	pend := s.pendSlab.Slice(wb.pend)
 	bit := uint64(1) << uint(p)
 	off := s.g.OffsetOf(r.Addr) >> s.sectorShift
@@ -125,35 +126,35 @@ func (s *WBWI) Ref(r trace.Ref) {
 	if r.Kind == trace.Load {
 		switch {
 		case wb.present&bit == 0:
-			s.miss(p, r.Addr)
+			s.miss(p, wb.life)
 			wb.present |= bit
 			s.clear(wb, pend, bit)
 		case pend[off]&bit != 0: // touched a word-invalidated word
-			s.life.CloseInvalidate(p, blk)
-			s.miss(p, r.Addr)
+			s.life.CloseInvalidate(p, wb.life)
+			s.miss(p, wb.life)
 			s.clear(wb, pend, bit)
 		}
-		s.life.Access(p, r.Addr)
+		s.life.Access(p, wb.life, r.Addr)
 		return
 	}
 
 	// Store: acquire ownership.
 	switch {
 	case wb.present&bit == 0:
-		s.miss(p, r.Addr)
+		s.miss(p, wb.life)
 		wb.present |= bit
 		s.clear(wb, pend, bit)
 	case wb.pendAny&bit != 0:
 		// Ownership on a copy with any buffered word invalidation
 		// costs a miss: the fresh copy is fetched from the owner.
-		s.life.CloseInvalidate(p, blk)
-		s.miss(p, r.Addr)
+		s.life.CloseInvalidate(p, wb.life)
+		s.miss(p, wb.life)
 		s.clear(wb, pend, bit)
 	case wb.owner != int8(p):
 		s.upgrades++
 	}
 	wb.owner = int8(p)
-	s.life.Access(p, r.Addr)
+	s.life.Access(p, wb.life, r.Addr)
 
 	sharers := wb.present &^ bit
 	if sharers != 0 {
@@ -162,10 +163,10 @@ func (s *WBWI) Ref(r trace.Ref) {
 		pend[off] |= sharers
 		wb.pendAny |= sharers
 		if s.limit > 0 && newly != 0 {
-			s.chargeBuffer(wb, pend, blk, newly)
+			s.chargeBuffer(wb, pend, newly)
 		}
 	}
-	s.life.RecordStore(p, r.Addr)
+	s.life.RecordStore(p, wb.life, r.Addr)
 }
 
 // RefBatch implements trace.BatchConsumer.
@@ -177,7 +178,7 @@ func (s *WBWI) RefBatch(refs []trace.Ref) {
 
 // chargeBuffer accounts one buffered word for each processor in mask and
 // invalidates any copy whose buffer would overflow.
-func (s *WBWI) chargeBuffer(wb *wbwiBlock, pend []uint64, blk mem.Block, mask uint64) {
+func (s *WBWI) chargeBuffer(wb *wbwiBlock, pend []uint64, mask uint64) {
 	cnt := s.cntSlab.Slice(wb.cnt)
 	forEachProc(mask, func(q int) {
 		cnt[q]++
@@ -189,7 +190,7 @@ func (s *WBWI) chargeBuffer(wb *wbwiBlock, pend []uint64, blk mem.Block, mask ui
 		qbit := uint64(1) << uint(q)
 		wb.present &^= qbit
 		s.clear(wb, pend, qbit)
-		s.life.CloseInvalidate(q, blk)
+		s.life.CloseInvalidate(q, wb.life)
 	})
 }
 

@@ -35,14 +35,24 @@ import (
 // The miss is classified when the lifetime ends: the processor's first
 // lifetime on a block is a cold miss (refined into PC/CTS/CFS), later
 // lifetimes are PTS when essential and PFS otherwise.
+//
+// Lifetimes keeps no block table of its own. Every caller already keys its
+// per-block state by block; it allocates the block's lifetime record with
+// NewBlock when it creates that entry, stores the returned handle in it, and
+// passes the handle to every other method. One probe of the caller's table
+// per reference then serves both.
 type Lifetimes struct {
-	geom   mem.Geometry
-	procs  int
-	words  int // geom.WordsPerBlock()
-	blocks *dense.Map[lifeBlock]
-	// slab holds each block's state vector in one arena cell:
-	// [0:words) per-word definitions, [words:words+procs) commBase,
-	// [words+procs:words+2*procs) openTick.
+	geom  mem.Geometry
+	procs int
+	words int // geom.WordsPerBlock()
+	// recs[h] is the lifetime record of the block behind handle h (see
+	// NewBlock); recs[0] is the never-opened sentinel.
+	recs []lifeBlock
+	// slab holds each record's state vector in the arena cell with the
+	// record's own handle: [0:words) per-word definitions,
+	// [words:words+procs) commBase, [words+procs:words+2*procs) openTick.
+	// A word's last definition is packed as tick<<6 | writer (MaxProcs is
+	// 64); zero means never defined.
 	slab   *dense.Arena[uint64]
 	counts Counts
 	tick   uint64 // advances on every RecordStore
@@ -126,13 +136,10 @@ func (s SharingClass) String() string {
 	}
 }
 
-// A word's last definition is packed as tick<<6 | writer (MaxProcs is 64).
-// Zero means never defined.
-type wordDef = uint64
-
-// lifeBlock is one block's inline map entry: the per-processor bitmasks live
-// in the probe table itself, and the variable-size vectors (per-word
-// definitions, commBase, openTick) live in one arena cell reached via state.
+// lifeBlock is one block's lifetime record: the per-processor bitmasks every
+// access inspects, the block number for the OnClassify hook, and the
+// modified flag. The variable-size vectors (per-word definitions, commBase,
+// openTick) live in the arena cell with the same handle.
 type lifeBlock struct {
 	open     uint64 // procs with an open lifetime
 	em       uint64 // procs whose open lifetime is already essential
@@ -140,27 +147,22 @@ type lifeBlock struct {
 	coldMod  uint64 // procs whose first lifetime opened on an already-modified block
 	replNext uint64 // procs whose next lifetime follows a replacement (finite caches)
 	replOpen uint64 // procs whose open lifetime followed a replacement
-	modified bool   // some processor has stored to this block
-	state    uint32 // arena cell: defs | commBase | openTick
+	block    mem.Block
+	modified bool // some processor has stored to this block
 }
 
-// defs returns the block's per-word last-definition vector.
-func (l *Lifetimes) defs(lb *lifeBlock) []wordDef {
-	return l.slab.Slice(lb.state)[:l.words]
+// commBase returns the per-processor communication bases of the block
+// behind h: commBase[p] is the tick up to which values have been delivered
+// to p by its kept (essential) misses.
+func (l *Lifetimes) commBase(h uint32) []uint64 {
+	return l.slab.Slice(h)[l.words : l.words+l.procs]
 }
 
-// commBase returns the block's per-processor communication bases:
-// commBase[p] is the tick up to which values have been delivered to p by
-// its kept (essential) misses.
-func (l *Lifetimes) commBase(lb *lifeBlock) []uint64 {
-	return l.slab.Slice(lb.state)[l.words : l.words+l.procs]
-}
-
-// openTick returns the block's per-processor lifetime-open ticks: the store
-// tick at which p's current lifetime opened; the miss that opened it
-// fetched all values defined up to then.
-func (l *Lifetimes) openTick(lb *lifeBlock) []uint64 {
-	return l.slab.Slice(lb.state)[l.words+l.procs : l.words+2*l.procs]
+// openTick returns the per-processor lifetime-open ticks of the block behind
+// h: the store tick at which p's current lifetime opened; the miss that
+// opened it fetched all values defined up to then.
+func (l *Lifetimes) openTick(h uint32) []uint64 {
+	return l.slab.Slice(h)[l.words+l.procs : l.words+2*l.procs]
 }
 
 // NewLifetimes returns a Lifetimes engine for the given processor count and
@@ -171,12 +173,22 @@ func NewLifetimes(procs int, g mem.Geometry) *Lifetimes {
 	}
 	w := g.WordsPerBlock()
 	return &Lifetimes{
-		geom:   g,
-		procs:  procs,
-		words:  w,
-		blocks: dense.NewMap[lifeBlock](0),
-		slab:   dense.NewArena[uint64](w + 2*procs),
+		geom:  g,
+		procs: procs,
+		words: w,
+		recs:  make([]lifeBlock, 1),
+		slab:  dense.NewArena[uint64](w + 2*procs),
 	}
+}
+
+// NewBlock allocates block b's lifetime record and returns its handle, which
+// every other method takes in place of the block. Call it once per block,
+// when the caller first creates its own entry for b. Finish visits the
+// records in allocation order.
+func (l *Lifetimes) NewBlock(b mem.Block) uint32 {
+	h := l.slab.Alloc()
+	l.recs = append(l.recs, lifeBlock{block: b})
+	return h
 }
 
 // Geometry returns the block geometry the engine was built with.
@@ -185,28 +197,19 @@ func (l *Lifetimes) Geometry() mem.Geometry { return l.geom }
 // NumProcs returns the processor count.
 func (l *Lifetimes) NumProcs() int { return l.procs }
 
-func (l *Lifetimes) block(b mem.Block) *lifeBlock {
-	lb, existed := l.blocks.GetOrPut(uint64(b))
-	if !existed {
-		lb.state = l.slab.Alloc()
-	}
-	return lb
-}
-
-// OpenMiss records a miss by processor p at word address a under the
+// OpenMiss records a miss by processor p on the block behind h under the
 // caller's schedule, opening a new lifetime. If p still has an open lifetime
 // on the block (an upgrade-style miss on a copy that was never explicitly
 // invalidated), the old lifetime is classified and closed first.
-func (l *Lifetimes) OpenMiss(p int, a mem.Addr) {
-	b := l.geom.BlockOf(a)
-	lb := l.block(b)
+func (l *Lifetimes) OpenMiss(p int, h uint32) {
+	lb := &l.recs[h]
 	bit := uint64(1) << uint(p)
 	if lb.open&bit != 0 {
-		l.classify(lb, b, p, bit)
+		l.classify(h, lb, p, bit)
 	}
 	lb.open |= bit
 	lb.em &^= bit
-	l.openTick(lb)[p] = l.tick
+	l.openTick(h)[p] = l.tick
 	lb.replOpen = lb.replOpen&^bit | lb.replNext&bit
 	lb.replNext &^= bit
 	if lb.fr&bit == 0 && lb.modified {
@@ -214,86 +217,82 @@ func (l *Lifetimes) OpenMiss(p int, a mem.Addr) {
 	}
 }
 
-// Access records a data access (load or store) by p to word a. If, during
-// p's open lifetime, the word's last definition is by another processor and
-// newer than everything p's essential misses have delivered, the lifetime
-// becomes essential: the miss that opened it is needed, and it delivered
-// every value defined up to its own open. Callers must have reported the
-// miss (OpenMiss) first when the access missed; accesses without an open
-// lifetime are ignored.
-func (l *Lifetimes) Access(p int, a mem.Addr) {
-	lb := l.blocks.Get(uint64(l.geom.BlockOf(a)))
-	if lb == nil {
-		return
-	}
+// Access records a data access (load or store) by p to word a of the block
+// behind h. If, during p's open lifetime, the word's last definition is by
+// another processor and newer than everything p's essential misses have
+// delivered, the lifetime becomes essential: the miss that opened it is
+// needed, and it delivered every value defined up to its own open. Callers
+// must have reported the miss (OpenMiss) first when the access missed;
+// accesses without an open lifetime are ignored.
+func (l *Lifetimes) Access(p int, h uint32, a mem.Addr) {
+	lb := &l.recs[h]
 	bit := uint64(1) << uint(p)
-	if lb.open&bit == 0 {
+	// Once the lifetime is essential the transition cannot fire again: the
+	// base was raised to the lifetime's open tick when it became essential,
+	// and neither moves within a lifetime. So the steady state never reads
+	// the word's definition.
+	if lb.open&bit == 0 || lb.em&bit != 0 {
 		return
 	}
-	def := l.defs(lb)[l.geom.OffsetOf(a)]
-	commBase := l.commBase(lb)
+	cell := l.slab.Slice(h)
+	def := cell[l.geom.OffsetOf(a)]
+	commBase := cell[l.words : l.words+l.procs]
 	if def == 0 || int(def&(MaxProcs-1)) == p || def>>6 <= commBase[p] {
 		return
 	}
 	lb.em |= bit
-	if tick := l.openTick(lb)[p]; tick > commBase[p] {
+	if tick := cell[l.words+l.procs+p]; tick > commBase[p] {
 		commBase[p] = tick
 	}
 }
 
-// RecordStore records that p stored to word a, independently of when the
-// caller's schedule propagates the invalidation: the word's last definition
-// becomes this store.
-func (l *Lifetimes) RecordStore(p int, a mem.Addr) {
-	lb := l.block(l.geom.BlockOf(a))
-	lb.modified = true
+// RecordStore records that p stored to word a of the block behind h,
+// independently of when the caller's schedule propagates the invalidation:
+// the word's last definition becomes this store.
+func (l *Lifetimes) RecordStore(p int, h uint32, a mem.Addr) {
+	l.recs[h].modified = true
 	l.tick++
-	l.defs(lb)[l.geom.OffsetOf(a)] = l.tick<<6 | uint64(p)
+	l.slab.Slice(h)[l.geom.OffsetOf(a)] = l.tick<<6 | uint64(p)
 }
 
-// CloseInvalidate ends p's lifetime on block b because the caller's schedule
-// invalidated p's copy, classifying the miss that opened it. Calling it
-// without an open lifetime only cancels a pending replacement mark: a block
-// that was evicted and then invalidated would miss even with an infinite
-// cache, so the next miss is a coherence miss, not a replacement miss.
-func (l *Lifetimes) CloseInvalidate(p int, b mem.Block) {
-	lb := l.blocks.Get(uint64(b))
-	if lb == nil {
-		return
-	}
+// CloseInvalidate ends p's lifetime on the block behind h because the
+// caller's schedule invalidated p's copy, classifying the miss that opened
+// it. Calling it without an open lifetime only cancels a pending replacement
+// mark: a block that was evicted and then invalidated would miss even with
+// an infinite cache, so the next miss is a coherence miss, not a replacement
+// miss.
+func (l *Lifetimes) CloseInvalidate(p int, h uint32) {
+	lb := &l.recs[h]
 	bit := uint64(1) << uint(p)
 	lb.replNext &^= bit
 	if lb.open&bit == 0 {
 		return
 	}
-	l.classify(lb, b, p, bit)
+	l.classify(h, lb, p, bit)
 	lb.open &^= bit
 	lb.em &^= bit
 }
 
-// CloseReplace ends p's lifetime on block b because p's finite cache
-// evicted the copy (§8 extension). The miss that opened the lifetime is
-// classified as usual; p's next miss on the block will be a replacement
+// CloseReplace ends p's lifetime on the block behind h because p's finite
+// cache evicted the copy (§8 extension). The miss that opened the lifetime
+// is classified as usual; p's next miss on the block will be a replacement
 // miss — essential by definition, since the program still needs the values.
 // Calling it without an open lifetime is a no-op.
-func (l *Lifetimes) CloseReplace(p int, b mem.Block) {
-	lb := l.blocks.Get(uint64(b))
-	if lb == nil {
-		return
-	}
+func (l *Lifetimes) CloseReplace(p int, h uint32) {
+	lb := &l.recs[h]
 	bit := uint64(1) << uint(p)
 	if lb.open&bit == 0 {
 		return
 	}
-	l.classify(lb, b, p, bit)
+	l.classify(h, lb, p, bit)
 	lb.open &^= bit
 	lb.em &^= bit
 	lb.replNext |= bit
 }
 
-// classify scores the lifetime of processor p and sets its FR flag.
-// The caller adjusts the open/em bits.
-func (l *Lifetimes) classify(lb *lifeBlock, b mem.Block, p int, bit uint64) {
+// classify scores the lifetime of processor p on the block behind h (whose
+// record is lb) and sets its FR flag. The caller adjusts the open/em bits.
+func (l *Lifetimes) classify(h uint32, lb *lifeBlock, p int, bit uint64) {
 	var class Class
 	switch {
 	case lb.replOpen&bit != 0:
@@ -303,7 +302,7 @@ func (l *Lifetimes) classify(lb *lifeBlock, b mem.Block, p int, bit uint64) {
 		// copy implies an earlier lifetime, so FR is already set.
 		class = ClassRepl
 		l.counts.Repl++
-		if commBase, tick := l.commBase(lb), l.openTick(lb)[p]; tick > commBase[p] {
+		if commBase, tick := l.commBase(h), l.openTick(h)[p]; tick > commBase[p] {
 			commBase[p] = tick
 		}
 	case lb.fr&bit == 0: // first lifetime: a cold miss
@@ -322,7 +321,7 @@ func (l *Lifetimes) classify(lb *lifeBlock, b mem.Block, p int, bit uint64) {
 		// The cold miss is essential by definition, so it is kept:
 		// it delivered every value defined before it (§2). Later
 		// misses can only be essential for newer values.
-		if commBase, tick := l.commBase(lb), l.openTick(lb)[p]; tick > commBase[p] {
+		if commBase, tick := l.commBase(h), l.openTick(h)[p]; tick > commBase[p] {
 			commBase[p] = tick
 		}
 	case lb.em&bit != 0:
@@ -333,23 +332,25 @@ func (l *Lifetimes) classify(lb *lifeBlock, b mem.Block, p int, bit uint64) {
 		l.counts.PFS++
 	}
 	if l.OnClassify != nil {
-		l.OnClassify(p, b, class)
+		l.OnClassify(p, lb.block, class)
 	}
 }
 
 // Finish classifies all still-open lifetimes (the paper's end_of_simulation
-// step) and returns the totals. The engine must not be used afterwards.
+// step), block by block in NewBlock order, and returns the totals. The
+// engine must not be used afterwards.
 func (l *Lifetimes) Finish() Counts {
-	l.blocks.Range(func(b uint64, lb *lifeBlock) {
+	for h := 1; h < len(l.recs); h++ {
+		lb := &l.recs[h]
 		open := lb.open
 		for open != 0 {
 			p := bits.TrailingZeros64(open)
 			open &^= 1 << uint(p)
-			l.classify(lb, mem.Block(b), p, 1<<uint(p))
+			l.classify(uint32(h), lb, p, 1<<uint(p))
 		}
 		lb.open = 0
 		lb.em = 0
-	})
+	}
 	return l.counts
 }
 

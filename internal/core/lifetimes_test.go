@@ -28,16 +28,18 @@ func TestLifetimesBasicCycle(t *testing.T) {
 	g := mem.MustGeometry(8)
 	l := NewLifetimes(2, g)
 
+	h := l.NewBlock(g.BlockOf(0))
+
 	// P0 misses, stores; P1 misses, reads the new value; P0's store
 	// invalidates nothing (P1 came later).
-	l.OpenMiss(0, 0)
-	l.Access(0, 0)
-	l.RecordStore(0, 0)
+	l.OpenMiss(0, h)
+	l.Access(0, h, 0)
+	l.RecordStore(0, h, 0)
 
-	l.OpenMiss(1, 0)
-	l.Access(1, 0) // touches P0's fresh value: essential
+	l.OpenMiss(1, h)
+	l.Access(1, h, 0) // touches P0's fresh value: essential
 
-	l.CloseInvalidate(0, g.BlockOf(0)) // P0's cold lifetime ends
+	l.CloseInvalidate(0, h) // P0's cold lifetime ends
 	if snap := l.Snapshot(); snap.PC != 1 {
 		t.Errorf("snapshot after one close = %+v", snap)
 	}
@@ -50,12 +52,12 @@ func TestLifetimesBasicCycle(t *testing.T) {
 func TestLifetimesCloseIdempotent(t *testing.T) {
 	g := mem.MustGeometry(8)
 	l := NewLifetimes(2, g)
-	b := g.BlockOf(0)
+	h := l.NewBlock(g.BlockOf(0))
 
 	// Closing without an open lifetime is a no-op.
-	l.CloseInvalidate(0, b)
-	l.CloseReplace(0, b)
-	l.CloseInvalidate(1, mem.Block(99)) // unknown block: no-op
+	l.CloseInvalidate(0, h)
+	l.CloseReplace(0, h)
+	l.CloseInvalidate(1, l.NewBlock(mem.Block(99))) // a handle with no open lifetime: no-op
 	if l.Finish() != (Counts{}) {
 		t.Error("no-op closes produced counts")
 	}
@@ -64,9 +66,10 @@ func TestLifetimesCloseIdempotent(t *testing.T) {
 func TestLifetimesAccessWithoutLifetime(t *testing.T) {
 	g := mem.MustGeometry(8)
 	l := NewLifetimes(2, g)
-	l.RecordStore(0, 0)
-	l.Access(1, 0) // P1 has no open lifetime: ignored
-	l.Access(1, 9) // unknown block: ignored
+	h := l.NewBlock(g.BlockOf(0))
+	l.RecordStore(0, h, 0)
+	l.Access(1, h, 0)                        // P1 has no open lifetime: ignored
+	l.Access(1, l.NewBlock(g.BlockOf(9)), 9) // a handle with no open lifetime: ignored
 	if l.Finish() != (Counts{}) {
 		t.Error("stray accesses produced counts")
 	}
@@ -75,13 +78,13 @@ func TestLifetimesAccessWithoutLifetime(t *testing.T) {
 func TestLifetimesReplaceCycle(t *testing.T) {
 	g := mem.MustGeometry(8)
 	l := NewLifetimes(1, g)
-	b := g.BlockOf(0)
+	h := l.NewBlock(g.BlockOf(0))
 
-	l.OpenMiss(0, 0)
-	l.Access(0, 0)
-	l.CloseReplace(0, b) // evicted
-	l.OpenMiss(0, 0)     // refetch: a replacement miss
-	l.Access(0, 0)
+	l.OpenMiss(0, h)
+	l.Access(0, h, 0)
+	l.CloseReplace(0, h) // evicted
+	l.OpenMiss(0, h)     // refetch: a replacement miss
+	l.Access(0, h, 0)
 	counts := l.Finish()
 	if want := (Counts{PC: 1, Repl: 1}); counts != want {
 		t.Errorf("counts = %+v, want %+v", counts, want)
@@ -91,12 +94,13 @@ func TestLifetimesReplaceCycle(t *testing.T) {
 func TestLifetimesUpgradeMissClassifiesOldLifetime(t *testing.T) {
 	g := mem.MustGeometry(8)
 	l := NewLifetimes(2, g)
+	h := l.NewBlock(g.BlockOf(0))
 
-	l.OpenMiss(0, 0)
-	l.Access(0, 0)
+	l.OpenMiss(0, h)
+	l.Access(0, h, 0)
 	// A second OpenMiss without an intervening close (the upgrade-miss
 	// path) must classify the first lifetime.
-	l.OpenMiss(0, 0)
+	l.OpenMiss(0, h)
 	if snap := l.Snapshot(); snap.PC != 1 {
 		t.Errorf("old lifetime not classified: %+v", snap)
 	}
@@ -109,11 +113,12 @@ func TestLifetimesHookSeesEveryClose(t *testing.T) {
 	l.OnClassify = func(p int, b mem.Block, class Class) {
 		events = append(events, class)
 	}
-	l.OpenMiss(0, 0)
-	l.RecordStore(0, 0)
-	l.OpenMiss(1, 0)
-	l.Access(1, 0)
-	l.CloseInvalidate(1, g.BlockOf(0))
+	h := l.NewBlock(g.BlockOf(0))
+	l.OpenMiss(0, h)
+	l.RecordStore(0, h, 0)
+	l.OpenMiss(1, h)
+	l.Access(1, h, 0)
+	l.CloseInvalidate(1, h)
 	l.Finish()
 	if len(events) != 2 {
 		t.Fatalf("hook saw %d events, want 2", len(events))

@@ -19,16 +19,23 @@ import (
 // equals the miss count of a plain on-the-fly invalidation schedule.
 type Classifier struct {
 	life     *Lifetimes
-	present  *dense.Map[uint64]
+	blocks   *dense.Map[oursBlock]
 	dataRefs uint64
+}
+
+// oursBlock is one block's entry: the processors holding a copy and the
+// block's lifetime record.
+type oursBlock struct {
+	present uint64
+	life    uint32 // Lifetimes handle
 }
 
 // NewClassifier returns a Classifier for procs processors (at most MaxProcs)
 // and block geometry g.
 func NewClassifier(procs int, g mem.Geometry) *Classifier {
 	return &Classifier{
-		life:    NewLifetimes(procs, g),
-		present: dense.NewMap[uint64](0),
+		life:   NewLifetimes(procs, g),
+		blocks: dense.NewMap[oursBlock](0),
 	}
 }
 
@@ -55,15 +62,18 @@ func (c *Classifier) access(p int, a mem.Addr, store bool) {
 	b := c.life.Geometry().BlockOf(a)
 	bit := uint64(1) << uint(p)
 
-	present, _ := c.present.GetOrPut(uint64(b))
+	ob, existed := c.blocks.GetOrPut(uint64(b))
+	if !existed {
+		ob.life = c.life.NewBlock(b)
+	}
 	// read_action: a miss opens a new lifetime.
-	if *present&bit == 0 {
-		c.life.OpenMiss(p, a)
-		*present |= bit
+	if ob.present&bit == 0 {
+		c.life.OpenMiss(p, ob.life)
+		ob.present |= bit
 	}
 	// read_action: accessing a communicated word makes the lifetime
 	// essential.
-	c.life.Access(p, a)
+	c.life.Access(p, ob.life, a)
 
 	if !store {
 		return
@@ -71,14 +81,14 @@ func (c *Classifier) access(p int, a mem.Addr, store bool) {
 	// write_action: classify every other present copy (their lifetimes
 	// end now, on the fly), then flag the new value as uncommunicated for
 	// every other processor.
-	others := *present &^ bit
+	others := ob.present &^ bit
 	for others != 0 {
 		q := bits.TrailingZeros64(others)
 		others &^= 1 << uint(q)
-		c.life.CloseInvalidate(q, b)
+		c.life.CloseInvalidate(q, ob.life)
 	}
-	*present = bit
-	c.life.RecordStore(p, a)
+	ob.present = bit
+	c.life.RecordStore(p, ob.life, a)
 }
 
 // DataRefs returns the number of data references classified so far: the

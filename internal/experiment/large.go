@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/coherence"
+	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/report"
 	"repro/internal/workload"
@@ -22,8 +23,10 @@ var largeBlocks = []int{64, 1024}
 // essential rate; MAX is disastrous for LU.
 //
 // The full run streams on the order of a hundred million references per
-// protocol set; with Quick the small data sets are substituted. The
-// (workload, block, protocol) grid runs on the sweep engine.
+// protocol; with Quick the small data sets are substituted. Each
+// (workload, protocol) pair is one sweep cell whose fused replay drives the
+// protocol's simulators at both block sizes, so a cell that fails marks
+// both block-size rows of its protocol FAILED.
 func Large(o Options) error {
 	defer driverSpan("large").End()
 	defaults := workload.LargeSet()
@@ -50,26 +53,22 @@ func Large(o Options) error {
 		}
 	}
 
-	// One sweep cell per (workload, block, protocol): a fused row would keep
+	// One sweep cell per (workload, protocol): one pass (per shard) over the
+	// trace drives the protocol's simulators at both block sizes, with the
+	// shards partitioned by the coarser one. A cell per (workload, block)
+	// running every protocol would read the trace fewer times but keep
 	// every protocol's simulator live in one cell over the large data sets.
 	cache := o.traceCache()
-	perBlock := len(protos)
-	perWorkload := len(largeBlocks) * perBlock
-	cells, fails, err := mapCells(o, len(ws)*perWorkload, func(ctx context.Context, i int) (coherence.Result, error) {
-		w := ws[i/perWorkload]
-		g := geos[i%perWorkload/perBlock]
-		proto := protos[i%perBlock]
-		defer replaySpan(ctx, w.Name, proto, largeBlocks[i%perWorkload/perBlock]).End()
+	cells, fails, err := mapCells(o, len(ws)*len(protos), func(ctx context.Context, i int) ([]coherence.Result, error) {
+		w := ws[i/len(protos)]
+		proto := protos[i%len(protos)]
+		defer replaySpan(ctx, w.Name, proto, 0).End()
 		eff := o.shardsPerCell()
-		open, err := o.shardSource(ctx, cache, w.Name, g, eff)
+		open, err := o.shardSource(ctx, cache, w.Name, core.CoarsestGeometry(geos), eff)
 		if err != nil {
-			return coherence.Result{}, err
+			return nil, err
 		}
-		res, err := coherence.RunProtocolsShardedOpen(ctx, open, w.Procs, g, []string{proto}, eff)
-		if err != nil {
-			return coherence.Result{}, err
-		}
-		return res[0], nil
+		return coherence.RunProtocolsShardedOpen(ctx, open, w.Procs, geos, []string{proto}, eff)
 	})
 	if err != nil {
 		return err
@@ -79,30 +78,31 @@ func Large(o Options) error {
 	fmt.Fprintln(o.Out)
 	tb := report.NewTable("workload", "B", "protocol", "miss%", "essential%", "vs MIN")
 	for wi, w := range ws {
+		// Cell wi*len(protos)+pi holds protocol pi's results, one per
+		// block size.
+		row := cells[wi*len(protos) : (wi+1)*len(protos)]
 		for bi, b := range largeBlocks {
-			base := wi*perWorkload + bi*perBlock
-			results := cells[base : base+perBlock]
 			var minRate float64
-			for pi, res := range results {
-				if res.Protocol == "MIN" && fails.Failed(base+pi) == nil {
-					minRate = res.MissRate()
+			for pi, res := range row {
+				if protos[pi] == "MIN" && fails.Failed(wi*len(protos)+pi) == nil {
+					minRate = res[bi].MissRate()
 				}
 			}
-			for pi, res := range results {
-				if fails.Failed(base+pi) != nil {
+			for pi, res := range row {
+				if fails.Failed(wi*len(protos)+pi) != nil {
 					tb.Rowf(w.Name, b, protos[pi], "FAILED")
 					continue
 				}
 				gap := "n/a"
 				if minRate > 0 {
-					gap = fmt.Sprintf("%+.0f%%", 100*(res.MissRate()-minRate)/minRate)
+					gap = fmt.Sprintf("%+.0f%%", 100*(res[bi].MissRate()-minRate)/minRate)
 				}
-				tb.Rowf(w.Name, b, res.Protocol, pct(res.MissRate()), pct(minRate), gap)
+				tb.Rowf(w.Name, b, res[bi].Protocol, pct(res[bi].MissRate()), pct(minRate), gap)
 			}
 		}
 	}
 	failNote(tb, fails, func(i int) string {
-		return fmt.Sprintf("%s B=%d %s", ws[i/perWorkload].Name, largeBlocks[i%perWorkload/perBlock], protos[i%perBlock])
+		return fmt.Sprintf("%s %s (B=64 and B=1024)", ws[i/len(protos)].Name, protos[i%len(protos)])
 	})
 	if o.CSV {
 		if err := tb.CSV(o.Out); err != nil {

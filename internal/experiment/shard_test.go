@@ -6,7 +6,11 @@ package experiment
 // property the differential suites check per consumer.
 
 import (
+	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -84,6 +88,85 @@ func TestFiniteSweepShardedPackedFile(t *testing.T) {
 	}
 	if want, got := render(1), render(3); got != want {
 		t.Errorf("file-backed finite sweep at -shards 3 differs from serial:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestLargeShardedPackedFile pins the §7 driver's two-block cells to the
+// coarser block size: each cell drives its B=64 and B=1024 simulators off
+// one segment-skipping reader per shard, and the shards partition the
+// blocks at B=1024, so the skip must be keyed on the 1024-byte geometry
+// too. The tiny segments span few blocks each, so a skip keyed on the
+// 64-byte geometry would drop references a shard owns at B=1024.
+func TestLargeShardedPackedFile(t *testing.T) {
+	w, err := workload.Get("LU32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "LU32.umt")
+	if _, err := w.PackFile(path, tracestore.WriterOptions{SegmentRefs: 16}); err != nil {
+		t.Fatal(err)
+	}
+	files, err := OpenTraceFiles(map[string]string{"LU32": path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer files.Close()
+	render := func(shards int) string {
+		var sb strings.Builder
+		o := Options{Out: &sb, Workloads: []string{"LU32"}, Parallelism: 1, Shards: shards, TraceFiles: files}
+		if err := Large(o); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	want := render(1)
+	for _, shards := range []int{3, 8} {
+		if got := render(shards); got != want {
+			t.Errorf("file-backed large at -shards %d differs from serial:\n got:\n%s\nwant:\n%s", shards, got, want)
+		}
+	}
+}
+
+// TestLargeKeepGoingFailsBothBlocks: a §7 cell drives one protocol at both
+// block sizes, so a cell whose trace cannot be read marks both of that
+// protocol's rows FAILED, and the other workload's rows still render.
+func TestLargeKeepGoingFailsBothBlocks(t *testing.T) {
+	w, err := workload.Get("LU32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "LU32.umt")
+	if _, err := w.PackFile(path, tracestore.WriterOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[len(buf)/2] ^= 0xff // inside the segment data: a checksum failure on read
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	files, err := OpenTraceFiles(map[string]string{"LU32": path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer files.Close()
+	var sb strings.Builder
+	o := Options{Out: &sb, Workloads: []string{"LU32", "JACOBI"}, Protocols: []string{"MIN", "OTF"},
+		Parallelism: 1, KeepGoing: true, TraceFiles: files}
+	if err := Large(o); !errors.Is(err, ErrPartial) {
+		t.Fatalf("Large = %v, want a partial-result error", err)
+	}
+	out := sb.String()
+	for _, b := range []int{64, 1024} {
+		for _, proto := range o.Protocols {
+			failed := regexp.MustCompile(fmt.Sprintf(`(?m)^LU32 +%d +%s +FAILED`, b, proto))
+			ok := regexp.MustCompile(fmt.Sprintf(`(?m)^JACOBI +%d +%s +[0-9]`, b, proto))
+			if !failed.MatchString(out) || !ok.MatchString(out) {
+				t.Errorf("B=%d %s: want LU32 FAILED and JACOBI rendered:\n%s", b, proto, out)
+			}
+		}
 	}
 }
 

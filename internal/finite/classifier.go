@@ -19,8 +19,15 @@ type Classifier struct {
 	life     *core.Lifetimes
 	geom     mem.Geometry
 	caches   []*Cache
-	present  *dense.Map[uint64] // procs whose cached copy is coherent
+	blocks   *dense.Map[finiteBlock]
 	dataRefs uint64
+}
+
+// finiteBlock is one block's entry: the processors whose cached copy is
+// coherent, and the block's lifetime handle.
+type finiteBlock struct {
+	present uint64
+	life    uint32
 }
 
 // Config describes the per-processor cache.
@@ -36,10 +43,10 @@ type Config struct {
 // NewClassifier returns a finite-cache classifier for procs processors.
 func NewClassifier(procs int, g mem.Geometry, cfg Config) (*Classifier, error) {
 	c := &Classifier{
-		life:    core.NewLifetimes(procs, g),
-		geom:    g,
-		caches:  make([]*Cache, procs),
-		present: dense.NewMap[uint64](0),
+		life:   core.NewLifetimes(procs, g),
+		geom:   g,
+		caches: make([]*Cache, procs),
+		blocks: dense.NewMap[finiteBlock](0),
 	}
 	for p := range c.caches {
 		cache, err := NewCache(cfg.CapacityBytes, cfg.Assoc, g, cfg.Policy)
@@ -67,18 +74,22 @@ func (c *Classifier) access(p int, a mem.Addr, store bool) {
 	bit := uint64(1) << uint(p)
 	cache := c.caches[p]
 
+	fb, existed := c.blocks.GetOrPut(uint64(b))
+	if !existed {
+		fb.life = c.life.NewBlock(b)
+	}
 	if !cache.Lookup(b) {
 		// Miss: close the stale lifetime as a replacement if the
-		// copy was evicted (an invalidation already closed it).
-		c.life.OpenMiss(p, a)
+		// copy was evicted (an invalidation already closed it). The
+		// victim's entry exists already, so evict inserts nothing and
+		// fb stays valid.
+		c.life.OpenMiss(p, fb.life)
 		if evicted, ok := cache.Insert(b); ok {
 			c.evict(p, evicted)
 		}
-		// Re-resolve after evict: its insert may have grown the table.
-		pb, _ := c.present.GetOrPut(uint64(b))
-		*pb |= bit
+		fb.present |= bit
 	}
-	c.life.Access(p, a)
+	c.life.Access(p, fb.life, a)
 
 	if !store {
 		return
@@ -87,18 +98,17 @@ func (c *Classifier) access(p int, a mem.Addr, store bool) {
 	// their lifetimes classified; already-evicted copies lose a pending
 	// replacement mark (the next miss would happen regardless of cache
 	// size, so it is a coherence miss).
-	pb, _ := c.present.GetOrPut(uint64(b))
 	for q := 0; q < len(c.caches); q++ {
 		if q == p {
 			continue
 		}
-		c.life.CloseInvalidate(q, b)
-		if *pb&(1<<uint(q)) != 0 {
+		c.life.CloseInvalidate(q, fb.life)
+		if fb.present&(1<<uint(q)) != 0 {
 			c.caches[q].Invalidate(b)
 		}
 	}
-	*pb = bit
-	c.life.RecordStore(p, a)
+	fb.present = bit
+	c.life.RecordStore(p, fb.life, a)
 }
 
 // RefBatch implements trace.BatchConsumer.
@@ -111,10 +121,9 @@ func (c *Classifier) RefBatch(refs []trace.Ref) {
 // evict closes the lifetime of a replaced block so the processor's next
 // miss on it counts as a replacement miss.
 func (c *Classifier) evict(p int, b mem.Block) {
-	if pb := c.present.Get(uint64(b)); pb != nil {
-		*pb &^= uint64(1) << uint(p)
-	}
-	c.life.CloseReplace(p, b)
+	fb := c.blocks.Get(uint64(b))
+	fb.present &^= uint64(1) << uint(p)
+	c.life.CloseReplace(p, fb.life)
 }
 
 // DataRefs returns the number of data references classified so far.

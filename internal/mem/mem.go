@@ -23,6 +23,13 @@ type Addr uint64
 // Block identifies a cache block under some Geometry: Addr >> log2(words per block).
 type Block uint64
 
+// MaxBlockBytes bounds the block size. The paper's largest block is 2,048
+// bytes; 64 KiB leaves headroom for page-grain what-ifs while keeping every
+// per-block state vector small: the lifetime engine's per-word definitions
+// for one block are 8 bytes per word, so one 64 KiB block costs 128 KiB,
+// where an unbounded size could ask for gigabytes in one allocation.
+const MaxBlockBytes = 64 << 10
+
 // Geometry fixes the cache block size and provides address arithmetic.
 // The zero Geometry is invalid; use NewGeometry.
 type Geometry struct {
@@ -31,10 +38,13 @@ type Geometry struct {
 }
 
 // NewGeometry returns a Geometry for the given block size in bytes.
-// The size must be a power of two and at least WordBytes.
+// The size must be a power of two in [WordBytes, MaxBlockBytes].
 func NewGeometry(blockBytes int) (Geometry, error) {
 	if blockBytes < WordBytes {
 		return Geometry{}, fmt.Errorf("mem: block size %d smaller than word (%d bytes)", blockBytes, WordBytes)
+	}
+	if blockBytes > MaxBlockBytes {
+		return Geometry{}, fmt.Errorf("mem: block size %d larger than the maximum (%d bytes)", blockBytes, MaxBlockBytes)
 	}
 	if blockBytes&(blockBytes-1) != 0 {
 		return Geometry{}, fmt.Errorf("mem: block size %d is not a power of two", blockBytes)

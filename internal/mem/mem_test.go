@@ -6,7 +6,7 @@ import (
 )
 
 func TestNewGeometry(t *testing.T) {
-	for _, size := range []int{4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048} {
+	for _, size := range []int{4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, MaxBlockBytes} {
 		g, err := NewGeometry(size)
 		if err != nil {
 			t.Fatalf("NewGeometry(%d): %v", size, err)
@@ -21,7 +21,8 @@ func TestNewGeometry(t *testing.T) {
 }
 
 func TestNewGeometryRejectsInvalid(t *testing.T) {
-	for _, size := range []int{0, 1, 2, 3, 6, 12, 24, 100, -8} {
+	// 1 GiB is a power of two: only the size bound rejects it.
+	for _, size := range []int{0, 1, 2, 3, 6, 12, 24, 100, -8, 2 * MaxBlockBytes, 1 << 30} {
 		if _, err := NewGeometry(size); err == nil {
 			t.Errorf("NewGeometry(%d): expected error", size)
 		}

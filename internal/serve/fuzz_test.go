@@ -77,6 +77,9 @@ func FuzzJobSpec(f *testing.F) {
 			if _, err := mem.NewGeometry(b); err != nil {
 				t.Errorf("accepted block size %d: %v", b, err)
 			}
+			if b > mem.MaxBlockBytes {
+				t.Errorf("accepted block size %d above the %d-byte bound", b, mem.MaxBlockBytes)
+			}
 		}
 		for _, name := range spec.Protocols {
 			if _, err := coherence.New(name, workload.DefaultProcs, mem.MustGeometry(mem.WordBytes)); err != nil {

@@ -222,6 +222,7 @@ var badSpecs = []struct {
 	{"bad scheme", `{"experiment":"classify","workload":"LU32","scheme":"theirs"}`, http.StatusBadRequest, CodeBadRequest},
 	{"negative block", `{"experiment":"classify","workload":"LU32","block":-1}`, http.StatusBadRequest, CodeBadRequest},
 	{"sub-word block", `{"experiment":"classify","workload":"LU32","block":3}`, http.StatusBadRequest, CodeBadRequest},
+	{"1 GiB block", `{"experiment":"classify","workload":"LU32","block":1073741824}`, http.StatusBadRequest, CodeBadRequest},
 	{"zero blocks entry", `{"experiment":"fig5","quick":true,"workloads":["LU32"],"blocks":[0]}`, http.StatusBadRequest, CodeBadRequest},
 	{"non-power-of-two blocks entry", `{"experiment":"fig5","quick":true,"workloads":["LU32"],"blocks":[24]}`, http.StatusBadRequest, CodeBadRequest},
 	{"unknown experiment", `{"experiment":"penalty"}`, http.StatusNotFound, CodeUnknown},
