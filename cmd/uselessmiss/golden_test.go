@@ -23,6 +23,12 @@ var goldenCases = []struct {
 	{"fig6a", []string{"fig6", "-workloads", "LU32,JACOBI", "-block", "64"}},
 	{"compare", []string{"compare", "-workloads", "LU32,JACOBI", "-block", "64"}},
 	{"penalty", []string{"penalty", "-workloads", "LU32,JACOBI", "-block", "64"}},
+	{"large", []string{"large", "-quick", "-workloads", "LU32,JACOBI"}},
+	{"traffic", []string{"traffic", "-workloads", "LU32,JACOBI"}},
+	{"ablate-cu", []string{"ablate", "-what", "cu", "-workloads", "LU32,JACOBI"}},
+	// wbwi and sector at the block size regen renders them with.
+	{"ablate-wbwi", []string{"ablate", "-what", "wbwi", "-block", "1024", "-workloads", "LU32,JACOBI"}},
+	{"ablate-sector", []string{"ablate", "-what", "sector", "-block", "1024", "-workloads", "LU32,JACOBI"}},
 }
 
 // runGolden executes one subcommand with the given extra flags appended.
