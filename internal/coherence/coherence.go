@@ -8,7 +8,9 @@
 // Misses are decomposed into cold / pure-true-sharing / pure-false-sharing
 // using the communication-flag machinery of package core, applied to each
 // protocol's own lifetimes, so Fig. 6's per-protocol miss splits can be
-// regenerated.
+// regenerated. A simulator passed through RatesOnly drops that machinery:
+// it runs the same schedule and reports the same miss and traffic counts,
+// without the split.
 //
 // Ownership follows §2.2: a store needs ownership; acquiring it on a copy
 // that carries a pending invalidation costs a miss ("the cost of
@@ -29,13 +31,17 @@ import (
 type Result struct {
 	Protocol string
 	// Counts decomposes the protocol's misses: cold (PC+CTS+CFS),
-	// pure true sharing (PTS) and pure false sharing (PFS).
+	// pure true sharing (PTS) and pure false sharing (PFS). It is zero
+	// for a rate-only simulator (see RatesOnly).
 	Counts core.Counts
 	// DataRefs is the number of load/store references: the miss-rate
 	// denominator.
 	DataRefs uint64
 	// Misses is the protocol's miss count, tracked independently of
-	// Counts as a cross-check; it always equals Counts.Total().
+	// Counts as a cross-check. For every simulator that keeps the split
+	// (the constructors' default, and so RunWith, Fig. 6 and the facade)
+	// it equals Counts.Total(); a rate-only simulator counts the same
+	// misses and leaves Counts zero.
 	Misses uint64
 	// Invalidations is the number of invalidation messages delivered to
 	// remote copies (word-grain for MIN/WBWI, block-grain otherwise).
@@ -93,11 +99,28 @@ func New(name string, procs int, g mem.Geometry) (Simulator, error) {
 	}
 }
 
+// RatesOnly drops the lifetime engine from a fresh simulator and returns
+// it. The simulator runs the same schedule and reports every count a full
+// one does (DataRefs, Misses, Invalidations, Upgrades, WriteThroughs,
+// Updates, and MissCount and UpgradeCount along the way), but its
+// Result.Counts stays zero: it allocates no lifetime record and makes no
+// call into the engine per reference. Use it where nothing reads the miss
+// split. sim must come from New or one of the typed constructors and must
+// not have consumed a reference yet.
+func RatesOnly(sim Simulator) Simulator {
+	sim.(interface{ dropLifetimes() }).dropLifetimes()
+	return sim
+}
+
 // base carries the bookkeeping shared by every simulator.
 type base struct {
 	g     mem.Geometry
 	procs int
-	life  *core.Lifetimes
+	// life decomposes the misses into Result.Counts; nil in a rate-only
+	// simulator. Every call into it goes through the helpers below, which
+	// are small enough to inline, so a rate-only simulator pays one nil
+	// check per call site and never calls into core.
+	life *core.Lifetimes
 
 	name          string
 	dataRefs      uint64
@@ -121,18 +144,54 @@ func (b *base) MissCount() uint64 { return b.misses }
 // UpgradeCount returns the ownership upgrades recorded so far.
 func (b *base) UpgradeCount() uint64 { return b.upgrades }
 
+func (b *base) dropLifetimes() { b.life = nil }
+
+// newLifetime allocates block blk's lifetime record and returns its handle
+// (0 in a rate-only simulator).
+func (b *base) newLifetime(blk mem.Block) uint32 {
+	if b.life == nil {
+		return 0
+	}
+	return b.life.NewBlock(blk)
+}
+
 // miss records a miss by p on the block whose lifetime handle is h and
 // opens its lifetime.
 func (b *base) miss(p int, h uint32) {
 	b.misses++
-	b.life.OpenMiss(p, h)
+	if b.life != nil {
+		b.life.OpenMiss(p, h)
+	}
 }
 
 // invalidate ends q's lifetime on the block whose lifetime handle is h and
 // counts one delivered invalidation message.
 func (b *base) invalidate(q int, h uint32) {
 	b.invalidations++
-	b.life.CloseInvalidate(q, h)
+	b.closeLifetime(q, h)
+}
+
+// closeLifetime ends p's lifetime on the block whose lifetime handle is h
+// without counting a message: the copy is dropped by a buffered
+// invalidation the schedule already counted when it was sent.
+func (b *base) closeLifetime(p int, h uint32) {
+	if b.life != nil {
+		b.life.CloseInvalidate(p, h)
+	}
+}
+
+// accessed records p's data access to word a of the block behind h.
+func (b *base) accessed(p int, h uint32, a mem.Addr) {
+	if b.life != nil {
+		b.life.Access(p, h, a)
+	}
+}
+
+// stored records that p stored to word a of the block behind h.
+func (b *base) stored(p int, h uint32, a mem.Addr) {
+	if b.life != nil {
+		b.life.RecordStore(p, h, a)
+	}
 }
 
 // presentBlock is the block entry of the schedules that track nothing per
@@ -146,15 +205,18 @@ type presentBlock struct {
 func (b *base) result() Result {
 	mCoherenceRefs.Add(b.dataRefs)
 	mCoherenceMiss.Add(b.misses)
-	return Result{
+	res := Result{
 		Protocol:      b.name,
-		Counts:        b.life.Finish(),
 		DataRefs:      b.dataRefs,
 		Misses:        b.misses,
 		Invalidations: b.invalidations,
 		Upgrades:      b.upgrades,
 		WriteThroughs: b.writeThroughs,
 	}
+	if b.life != nil {
+		res.Counts = b.life.Finish()
+	}
+	return res
 }
 
 // forEachProc calls fn for every processor in mask.

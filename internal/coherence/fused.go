@@ -92,8 +92,10 @@ func mergeResultSlices(a, b []Result) []Result {
 // The results are returned geometry-major — protos[j] at geos[i] is result
 // i*len(protos)+j — and are bit-for-bit the results of RunWith per protocol
 // and geometry, for every shard count; shards <= 1 is a single serial fused
-// replay. An unknown protocol name fails before any reader is opened.
-func RunProtocolsShardedOpen(ctx context.Context, open func(shard int) (trace.Reader, error), procs int, geos []mem.Geometry, protos []string, shards int) ([]Result, error) {
+// replay. With split false every simulator is rate-only (see RatesOnly):
+// the results are the same with Counts zero. An unknown protocol name fails
+// before any reader is opened.
+func RunProtocolsShardedOpen(ctx context.Context, open func(shard int) (trace.Reader, error), procs int, geos []mem.Geometry, protos []string, shards int, split bool) ([]Result, error) {
 	if len(protos) == 0 || len(geos) == 0 {
 		return nil, nil
 	}
@@ -109,6 +111,9 @@ func RunProtocolsShardedOpen(ctx context.Context, open func(shard int) (trace.Re
 				sim, err := New(name, procs, g)
 				if err != nil {
 					return nil, err
+				}
+				if !split {
+					sim = RatesOnly(sim)
 				}
 				sims = append(sims, sim)
 			}

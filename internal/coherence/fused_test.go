@@ -40,14 +40,14 @@ func TestFusedProtocolsMatchSerial(t *testing.T) {
 		for _, n := range shardCounts {
 			var got []Result
 			for _, g := range geos {
-				res, err := RunProtocolsShardedOpen(context.Background(), open, tr.Procs, []mem.Geometry{g}, protos, n)
+				res, err := RunProtocolsShardedOpen(context.Background(), open, tr.Procs, []mem.Geometry{g}, protos, n, true)
 				if err != nil {
 					t.Log(err)
 					return false
 				}
 				got = append(got, res...)
 			}
-			grid, err := RunProtocolsShardedOpen(context.Background(), open, tr.Procs, geos, protos, n)
+			grid, err := RunProtocolsShardedOpen(context.Background(), open, tr.Procs, geos, protos, n, true)
 			if err != nil {
 				t.Log(err)
 				return false

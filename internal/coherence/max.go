@@ -37,13 +37,16 @@ type MAX struct {
 
 type maxBlock struct {
 	present uint64
-	life    uint32 // lifetime handle
-	owner   int8
+	// live holds the senders with credits issued since their last
+	// release: the nonzero entries of the issued cell.
+	live uint64
+	life uint32 // lifetime handle
 	// issued is the arena handle of per-sender credit counts since that
 	// sender's last release; consumed the handle of per-(sender,receiver)
 	// spent counts. 0 means not yet allocated.
 	issued   uint32
 	consumed uint32
+	owner    int8
 }
 
 // NewMAX returns a worst-case-schedule simulator.
@@ -61,7 +64,7 @@ func (s *MAX) block(b mem.Block) *maxBlock {
 	mb, existed := s.blocks.GetOrPut(uint64(b))
 	if !existed {
 		mb.owner = -1
-		mb.life = s.life.NewBlock(b)
+		mb.life = s.newLifetime(b)
 	}
 	return mb
 }
@@ -103,14 +106,14 @@ func (s *MAX) access(p int, a mem.Addr, store bool) {
 		s.miss(p, mb.life)
 		mb.present |= bit
 	}
-	s.life.Access(p, mb.life, a)
+	s.accessed(p, mb.life, a)
 
 	if store {
 		if !missed && mb.owner != int8(p) {
 			s.upgrades++
 		}
 		mb.owner = int8(p)
-		s.life.RecordStore(p, mb.life, a)
+		s.stored(p, mb.life, a)
 		// Issue one credit per remote processor.
 		if mb.issued == 0 {
 			mb.issued = s.issuedSlab.Alloc()
@@ -118,22 +121,24 @@ func (s *MAX) access(p int, a mem.Addr, store bool) {
 		issued := s.issuedSlab.Slice(mb.issued)
 		if issued[p] == 0 {
 			s.open[p] = append(s.open[p], blk)
+			mb.live |= bit
 		}
 		issued[p]++
 	}
 }
 
 // spendCredit consumes one live credit targeting processor q's copy, if any
-// sender has one, and reports whether it did.
+// sender has one, and reports whether it did. Senders are tried in
+// ascending order, so the lowest one with an unspent credit pays.
 func (s *MAX) spendCredit(mb *maxBlock, q int) bool {
-	if mb.issued == 0 {
+	senders := mb.live &^ (1 << uint(q))
+	if senders == 0 {
 		return false
 	}
 	issued := s.issuedSlab.Slice(mb.issued)
-	for sender := range issued {
-		if sender == q || issued[sender] == 0 {
-			continue
-		}
+	for senders != 0 {
+		sender := bits.TrailingZeros64(senders)
+		senders &^= 1 << uint(sender)
 		if s.consumedCount(mb, sender, q) >= issued[sender] {
 			continue
 		}
@@ -180,6 +185,7 @@ func (s *MAX) releaseCredits(p int) {
 			s.invalidate(q, mb.life)
 		}
 		issued[p] = 0
+		mb.live &^= 1 << uint(p)
 		if mb.consumed != 0 {
 			clear(s.consumedRow(mb, p))
 		}

@@ -40,7 +40,7 @@ func (s *MIN) block(b mem.Block) *minBlock {
 	mb, existed := s.blocks.GetOrPut(uint64(b))
 	if !existed {
 		mb.pend = s.slab.Alloc()
-		mb.life = s.life.NewBlock(b)
+		mb.life = s.newLifetime(b)
 	}
 	return mb
 }
@@ -63,11 +63,11 @@ func (s *MIN) Ref(r trace.Ref) {
 		mb.present |= bit
 		clearPending(pend, bit)
 	case pend[off]&bit != 0: // buffered invalidation on this word
-		s.life.CloseInvalidate(p, mb.life)
+		s.closeLifetime(p, mb.life)
 		s.miss(p, mb.life) // refetch a fresh copy
 		clearPending(pend, bit)
 	}
-	s.life.Access(p, mb.life, r.Addr)
+	s.accessed(p, mb.life, r.Addr)
 
 	if r.Kind == trace.Store {
 		s.writeThroughs++
@@ -78,7 +78,7 @@ func (s *MIN) Ref(r trace.Ref) {
 			s.invalidations += uint64(popcount(sharers))
 			pend[off] |= sharers
 		}
-		s.life.RecordStore(p, mb.life, r.Addr)
+		s.stored(p, mb.life, r.Addr)
 	}
 }
 

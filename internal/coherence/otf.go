@@ -33,14 +33,14 @@ func (s *OTF) Ref(r trace.Ref) {
 
 	pb, existed := s.blocks.GetOrPut(uint64(blk))
 	if !existed {
-		pb.life = s.life.NewBlock(blk)
+		pb.life = s.newLifetime(blk)
 	}
 	missed := pb.present&bit == 0
 	if missed {
 		s.miss(p, pb.life)
 		pb.present |= bit
 	}
-	s.life.Access(p, pb.life, r.Addr)
+	s.accessed(p, pb.life, r.Addr)
 
 	if r.Kind == trace.Store {
 		others := pb.present &^ bit
@@ -51,7 +51,7 @@ func (s *OTF) Ref(r trace.Ref) {
 			forEachProc(others, func(q int) { s.invalidate(q, pb.life) })
 			pb.present = bit
 		}
-		s.life.RecordStore(p, pb.life, r.Addr)
+		s.stored(p, pb.life, r.Addr)
 	}
 }
 

@@ -372,6 +372,30 @@ func TestMAXOwnStoreKeepsCopy(t *testing.T) {
 	}
 }
 
+// The adversary must find a credit whose only live sender is processor 63,
+// the highest a block's sender mask can hold, including after an earlier
+// sender's release left the block's credit books allocated but empty.
+func TestMAXCreditFromSender63(t *testing.T) {
+	tr := trace.New(64,
+		trace.L(0, 0),   // P0 cold
+		trace.S(62, 0),  // P62 cold store: credit against P0
+		trace.R(62, 99), // deadline: P0's copy invalidated, no live credit left
+		trace.L(0, 0),   // miss
+		trace.S(63, 0),  // P63 cold store: the only live credit
+		trace.L(0, 0),   // adversary spends P63's credit -> miss
+		trace.L(0, 0),   // hit: that credit is spent
+		trace.L(62, 0),  // P62's copy: P63's credit -> miss
+		trace.S(63, 0),  // own copy: hit, second credit
+		trace.R(63, 99), // deadline: P0's and P62's second credits
+		trace.L(0, 0),   // miss
+	)
+	res := run(t, "MAX", tr, g8)
+	if res.Misses != 7 || res.Invalidations != 5 || res.Upgrades != 0 {
+		t.Errorf("misses %d, invalidations %d, upgrades %d; want 7, 5, 0",
+			res.Misses, res.Invalidations, res.Upgrades)
+	}
+}
+
 func TestSyncRefsAreNotDataRefs(t *testing.T) {
 	tr := trace.New(2,
 		trace.L(0, 0), trace.A(0, 50), trace.R(0, 50), trace.P(),

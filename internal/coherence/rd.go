@@ -39,7 +39,7 @@ func (s *RD) block(b mem.Block) *rdBlock {
 	rb, existed := s.blocks.GetOrPut(uint64(b))
 	if !existed {
 		rb.owner = -1
-		rb.life = s.life.NewBlock(b)
+		rb.life = s.newLifetime(b)
 	}
 	return rb
 }
@@ -75,7 +75,7 @@ func (s *RD) load(p int, a mem.Addr) {
 		rb.pending &^= bit // fresh copy: buffered invalidation satisfied
 	}
 	// A stale copy still hits: the invalidation waits for the acquire.
-	s.life.Access(p, rb.life, a)
+	s.accessed(p, rb.life, a)
 }
 
 func (s *RD) store(p int, a mem.Addr) {
@@ -92,7 +92,7 @@ func (s *RD) store(p int, a mem.Addr) {
 			rb.pending &^= bit
 		case rb.pending&bit != 0:
 			// Ownership on a stale copy costs a miss (§2.2).
-			s.life.CloseInvalidate(p, rb.life)
+			s.closeLifetime(p, rb.life)
 			s.miss(p, rb.life)
 			rb.pending &^= bit
 		default:
@@ -100,7 +100,7 @@ func (s *RD) store(p int, a mem.Addr) {
 		}
 		rb.owner = int8(p)
 	}
-	s.life.Access(p, rb.life, a)
+	s.accessed(p, rb.life, a)
 
 	// Send invalidations immediately; they sit in the receivers'
 	// buffers until their next acquire.
@@ -113,7 +113,7 @@ func (s *RD) store(p int, a mem.Addr) {
 			s.pendList[q] = append(s.pendList[q], blk)
 		})
 	}
-	s.life.RecordStore(p, rb.life, a)
+	s.stored(p, rb.life, a)
 }
 
 func (s *RD) acquire(p int) {
@@ -125,7 +125,7 @@ func (s *RD) acquire(p int) {
 		}
 		rb.pending &^= bit
 		rb.present &^= bit
-		s.life.CloseInvalidate(p, rb.life)
+		s.closeLifetime(p, rb.life)
 	}
 	s.pendList[p] = s.pendList[p][:0]
 }

@@ -37,7 +37,7 @@ func (s *SD) block(b mem.Block) *sdBlock {
 	sb, existed := s.blocks.GetOrPut(uint64(b))
 	if !existed {
 		sb.owner = -1
-		sb.life = s.life.NewBlock(b)
+		sb.life = s.newLifetime(b)
 	}
 	return sb
 }
@@ -70,7 +70,7 @@ func (s *SD) load(p int, a mem.Addr) {
 		s.miss(p, sb.life)
 		sb.present |= bit
 	}
-	s.life.Access(p, sb.life, a)
+	s.accessed(p, sb.life, a)
 }
 
 func (s *SD) store(p int, a mem.Addr) {
@@ -93,8 +93,8 @@ func (s *SD) store(p int, a mem.Addr) {
 			s.buffers[p] = append(s.buffers[p], blk)
 		}
 	}
-	s.life.Access(p, sb.life, a)
-	s.life.RecordStore(p, sb.life, a)
+	s.accessed(p, sb.life, a)
+	s.stored(p, sb.life, a)
 }
 
 // release flushes the processor's store buffer: each buffered block's

@@ -27,7 +27,7 @@ func shardedProtocols() []string {
 // runSharded replays tr through one protocol over shard-native streams.
 func runSharded(name string, tr *trace.Trace, g mem.Geometry, shards int) (Result, error) {
 	open := func(int) (trace.Reader, error) { return tr.Reader(), nil }
-	res, err := RunProtocolsShardedOpen(context.Background(), open, tr.Procs, []mem.Geometry{g}, []string{name}, shards)
+	res, err := RunProtocolsShardedOpen(context.Background(), open, tr.Procs, []mem.Geometry{g}, []string{name}, shards, true)
 	if err != nil {
 		return Result{}, err
 	}
@@ -124,7 +124,7 @@ func TestShardedProtocolNamesMatchNew(t *testing.T) {
 		for _, n := range []int{1, 3} {
 			opened := false
 			open := func(int) (trace.Reader, error) { opened = true; return tr.Reader(), nil }
-			res, err := RunProtocolsShardedOpen(context.Background(), open, tr.Procs, []mem.Geometry{g}, []string{name}, n)
+			res, err := RunProtocolsShardedOpen(context.Background(), open, tr.Procs, []mem.Geometry{g}, []string{name}, n, true)
 			switch {
 			case (err == nil) != (newErr == nil):
 				t.Errorf("%q shards=%d: sharded runner err = %v, New err = %v", name, n, err, newErr)
@@ -147,13 +147,13 @@ func TestShardedUnknownProtocol(t *testing.T) {
 		return trace.New(2, trace.L(0, 0)).Reader(), nil
 	}
 	g := mem.MustGeometry(16)
-	if _, err := RunProtocolsShardedOpen(context.Background(), open, 2, []mem.Geometry{g}, []string{"OTF", "BOGUS"}, 4); err == nil {
+	if _, err := RunProtocolsShardedOpen(context.Background(), open, 2, []mem.Geometry{g}, []string{"OTF", "BOGUS"}, 4, true); err == nil {
 		t.Fatal("expected an error for an unknown protocol")
 	}
 	if opened {
 		t.Error("reader opened despite an unknown protocol in the set")
 	}
-	res, err := RunProtocolsShardedOpen(context.Background(), open, 2, []mem.Geometry{g}, nil, 4)
+	res, err := RunProtocolsShardedOpen(context.Background(), open, 2, []mem.Geometry{g}, nil, 4, true)
 	if err != nil || len(res) != 0 {
 		t.Errorf("empty protocol set: got %v, %v", res, err)
 	}

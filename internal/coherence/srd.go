@@ -39,7 +39,7 @@ func (s *SRD) block(b mem.Block) *srdBlock {
 	sb, existed := s.blocks.GetOrPut(uint64(b))
 	if !existed {
 		sb.owner = -1
-		sb.life = s.life.NewBlock(b)
+		sb.life = s.newLifetime(b)
 	}
 	return sb
 }
@@ -75,7 +75,7 @@ func (s *SRD) load(p int, a mem.Addr) {
 		sb.present |= bit
 		sb.pending &^= bit
 	}
-	s.life.Access(p, sb.life, a)
+	s.accessed(p, sb.life, a)
 }
 
 func (s *SRD) store(p int, a mem.Addr) {
@@ -99,8 +99,8 @@ func (s *SRD) store(p int, a mem.Addr) {
 			s.buffers[p] = append(s.buffers[p], blk)
 		}
 	}
-	s.life.Access(p, sb.life, a)
-	s.life.RecordStore(p, sb.life, a)
+	s.accessed(p, sb.life, a)
+	s.stored(p, sb.life, a)
 }
 
 // release flushes the store buffer: ownership is acquired per block and one
@@ -117,7 +117,7 @@ func (s *SRD) release(p int) {
 		case sb.pending&bit != 0:
 			// Taking ownership on a copy with a buffered
 			// invalidation costs a miss (§2.2).
-			s.life.CloseInvalidate(p, sb.life)
+			s.closeLifetime(p, sb.life)
 			s.miss(p, sb.life)
 			sb.pending &^= bit
 		case sb.owner != int8(p):
@@ -140,7 +140,7 @@ func (s *SRD) acquire(p int) {
 		}
 		sb.pending &^= bit
 		sb.present &^= bit
-		s.life.CloseInvalidate(p, sb.life)
+		s.closeLifetime(p, sb.life)
 	}
 	s.pendList[p] = s.pendList[p][:0]
 }

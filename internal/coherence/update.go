@@ -53,16 +53,16 @@ func (s *WU) Ref(r trace.Ref) {
 
 	pb, existed := s.blocks.GetOrPut(uint64(blk))
 	if !existed {
-		pb.life = s.life.NewBlock(blk)
+		pb.life = s.newLifetime(blk)
 	}
 	if pb.present&bit == 0 {
 		s.miss(p, pb.life)
 		pb.present |= bit
 	}
-	s.life.Access(p, pb.life, r.Addr)
+	s.accessed(p, pb.life, r.Addr)
 	if r.Kind == trace.Store {
 		s.updates += uint64(popcount(pb.present &^ bit))
-		s.life.RecordStore(p, pb.life, r.Addr)
+		s.stored(p, pb.life, r.Addr)
 	}
 }
 
@@ -118,7 +118,7 @@ func (s *CU) block(b mem.Block) *cuBlock {
 	cb, existed := s.blocks.GetOrPut(uint64(b))
 	if !existed {
 		cb.count = s.slab.Alloc()
-		cb.life = s.life.NewBlock(b)
+		cb.life = s.newLifetime(b)
 	}
 	return cb
 }
@@ -140,7 +140,7 @@ func (s *CU) Ref(r trace.Ref) {
 		cb.present |= bit
 	}
 	count[p] = s.threshold // local use resets the countdown
-	s.life.Access(p, cb.life, r.Addr)
+	s.accessed(p, cb.life, r.Addr)
 
 	if r.Kind == trace.Store {
 		sharers := cb.present &^ bit
@@ -152,7 +152,7 @@ func (s *CU) Ref(r trace.Ref) {
 				s.invalidate(q, cb.life)
 			}
 		})
-		s.life.RecordStore(p, cb.life, r.Addr)
+		s.stored(p, cb.life, r.Addr)
 	}
 }
 

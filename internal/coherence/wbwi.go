@@ -102,7 +102,7 @@ func (s *WBWI) block(b mem.Block) *wbwiBlock {
 			}
 		}
 		wb.owner = -1
-		wb.life = s.life.NewBlock(b)
+		wb.life = s.newLifetime(b)
 		wb.pend = s.pendSlab.Alloc()
 		if s.limit > 0 {
 			wb.cnt = s.cntSlab.Alloc()
@@ -130,11 +130,11 @@ func (s *WBWI) Ref(r trace.Ref) {
 			wb.present |= bit
 			s.clear(wb, pend, bit)
 		case pend[off]&bit != 0: // touched a word-invalidated word
-			s.life.CloseInvalidate(p, wb.life)
+			s.closeLifetime(p, wb.life)
 			s.miss(p, wb.life)
 			s.clear(wb, pend, bit)
 		}
-		s.life.Access(p, wb.life, r.Addr)
+		s.accessed(p, wb.life, r.Addr)
 		return
 	}
 
@@ -147,14 +147,14 @@ func (s *WBWI) Ref(r trace.Ref) {
 	case wb.pendAny&bit != 0:
 		// Ownership on a copy with any buffered word invalidation
 		// costs a miss: the fresh copy is fetched from the owner.
-		s.life.CloseInvalidate(p, wb.life)
+		s.closeLifetime(p, wb.life)
 		s.miss(p, wb.life)
 		s.clear(wb, pend, bit)
 	case wb.owner != int8(p):
 		s.upgrades++
 	}
 	wb.owner = int8(p)
-	s.life.Access(p, wb.life, r.Addr)
+	s.accessed(p, wb.life, r.Addr)
 
 	sharers := wb.present &^ bit
 	if sharers != 0 {
@@ -166,7 +166,7 @@ func (s *WBWI) Ref(r trace.Ref) {
 			s.chargeBuffer(wb, pend, newly)
 		}
 	}
-	s.life.RecordStore(p, wb.life, r.Addr)
+	s.stored(p, wb.life, r.Addr)
 }
 
 // RefBatch implements trace.BatchConsumer.
@@ -190,7 +190,7 @@ func (s *WBWI) chargeBuffer(wb *wbwiBlock, pend []uint64, mask uint64) {
 		qbit := uint64(1) << uint(q)
 		wb.present &^= qbit
 		s.clear(wb, pend, qbit)
-		s.life.CloseInvalidate(q, wb.life)
+		s.closeLifetime(q, wb.life)
 	})
 }
 

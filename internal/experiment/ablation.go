@@ -21,8 +21,9 @@ import (
 
 // runVariants executes one cell per (workload, variant) on the sweep
 // engine, where newSim builds variant j's simulator, and returns the
-// results in (workload-major, variant) order.
-func runVariants(o Options, ws []*workload.Workload, variants int,
+// results in (workload-major, variant) order. Without split the simulators
+// are rate-only (see coherence.RatesOnly) and every Counts is zero.
+func runVariants(o Options, ws []*workload.Workload, variants int, split bool,
 	newSim func(w *workload.Workload, j int) (coherence.Simulator, error)) ([]coherence.Result, *sweep.Failures, error) {
 	cache := o.traceCache()
 	return mapCells(o, len(ws)*variants, func(ctx context.Context, i int) (coherence.Result, error) {
@@ -31,6 +32,9 @@ func runVariants(o Options, ws []*workload.Workload, variants int,
 		sim, err := newSim(w, j)
 		if err != nil {
 			return coherence.Result{}, err
+		}
+		if !split {
+			sim = coherence.RatesOnly(sim)
 		}
 		r, err := cache.ReaderContext(ctx, w.Name)
 		if err != nil {
@@ -49,7 +53,8 @@ var CompetitiveThresholds = []int{1, 2, 4, 8, 16, 32}
 // AblationCU sweeps the competitive-update threshold and reports the
 // miss/update-traffic trade-off against the WU (threshold = infinity) and
 // MIN (pure invalidate, word grain) endpoints. Larger thresholds approach
-// WU's cold-only miss rate at the price of more update messages.
+// WU's cold-only miss rate at the price of more update messages. The
+// report reads no miss split, so the simulators are rate-only.
 func AblationCU(o Options, blockBytes int) error {
 	defer driverSpan("ablate-cu").End()
 	g, err := mem.NewGeometry(blockBytes)
@@ -67,7 +72,7 @@ func AblationCU(o Options, blockBytes int) error {
 	for _, threshold := range CompetitiveThresholds {
 		labels = append(labels, fmt.Sprintf("CU-%d", threshold))
 	}
-	cells, fails, err := runVariants(o, ws, len(labels),
+	cells, fails, err := runVariants(o, ws, len(labels), false,
 		func(w *workload.Workload, j int) (coherence.Simulator, error) {
 			switch j {
 			case 0:
@@ -120,7 +125,8 @@ var SectorSizes = []int{4, 16, 64, 256, 1024}
 // word-grain coherence — as numbers. Word-sized sectors are exactly WBWI;
 // block-sized sectors degenerate to full-block invalidation. The question
 // it answers: how fine must the coherence grain be before the page-sized
-// fetch block stops paying for false sharing?
+// fetch block stops paying for false sharing? Its TRUE% and FALSE% columns
+// read each variant's miss split, so its simulators keep it.
 func AblationSector(o Options, blockBytes int) error {
 	defer driverSpan("ablate-sector").End()
 	g, err := mem.NewGeometry(blockBytes)
@@ -139,7 +145,7 @@ func AblationSector(o Options, blockBytes int) error {
 			sectors = append(sectors, sector)
 		}
 	}
-	cells, fails, err := runVariants(o, ws, len(sectors),
+	cells, fails, err := runVariants(o, ws, len(sectors), true,
 		func(w *workload.Workload, j int) (coherence.Simulator, error) {
 			return coherence.NewSectored(w.Procs, g, sectors[j])
 		})
@@ -184,6 +190,7 @@ var BufferSizes = []int{1, 2, 4, 8, 16, 0}
 // nearly every remote store) and the paper's WBWI (a dirty bit per word).
 // It quantifies the §7 hardware-cost remark: how many dirty bits per block
 // are actually needed before WBWI reaches its unlimited-buffer miss rate.
+// The report reads no miss split, so the simulators are rate-only.
 func AblationWBWI(o Options, blockBytes int) error {
 	defer driverSpan("ablate-wbwi").End()
 	g, err := mem.NewGeometry(blockBytes)
@@ -204,7 +211,7 @@ func AblationWBWI(o Options, blockBytes int) error {
 			labels[j] = fmt.Sprintf("%d words", entries)
 		}
 	}
-	cells, fails, err := runVariants(o, ws, len(BufferSizes),
+	cells, fails, err := runVariants(o, ws, len(BufferSizes), false,
 		func(w *workload.Workload, j int) (coherence.Simulator, error) {
 			if BufferSizes[j] == 0 {
 				return coherence.NewWBWI(w.Procs, g), nil

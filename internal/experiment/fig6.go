@@ -54,7 +54,7 @@ func Fig6(o Options, blockBytes int) error {
 		if err != nil {
 			return nil, err
 		}
-		return coherence.RunProtocolsShardedOpen(ctx, open, w.Procs, []mem.Geometry{g}, protos, eff)
+		return coherence.RunProtocolsShardedOpen(ctx, open, w.Procs, []mem.Geometry{g}, protos, eff, true)
 	})
 	if err != nil {
 		return err

@@ -26,7 +26,10 @@ var largeBlocks = []int{64, 1024}
 // protocol; with Quick the small data sets are substituted. Each
 // (workload, protocol) pair is one sweep cell whose fused replay drives the
 // protocol's simulators at both block sizes, so a cell that fails marks
-// both block-size rows of its protocol FAILED.
+// both block-size rows of its protocol FAILED. The report prints miss rates
+// only — its essential rate is MIN's miss rate, which §4 makes equal to the
+// essential miss count — so the simulators are rate-only (see
+// coherence.RatesOnly) and run no lifetime engine.
 func Large(o Options) error {
 	defer driverSpan("large").End()
 	defaults := workload.LargeSet()
@@ -56,8 +59,9 @@ func Large(o Options) error {
 	// One sweep cell per (workload, protocol): one pass (per shard) over the
 	// trace drives the protocol's simulators at both block sizes, with the
 	// shards partitioned by the coarser one. A cell per (workload, block)
-	// running every protocol would read the trace fewer times but keep
-	// every protocol's simulator live in one cell over the large data sets.
+	// running every protocol would read the trace fewer times; with
+	// rate-only simulators its heap is no longer the obstacle, but it did
+	// not measurably beat this shape (DESIGN.md §12).
 	cache := o.traceCache()
 	cells, fails, err := mapCells(o, len(ws)*len(protos), func(ctx context.Context, i int) ([]coherence.Result, error) {
 		w := ws[i/len(protos)]
@@ -68,7 +72,7 @@ func Large(o Options) error {
 		if err != nil {
 			return nil, err
 		}
-		return coherence.RunProtocolsShardedOpen(ctx, open, w.Procs, geos, []string{proto}, eff)
+		return coherence.RunProtocolsShardedOpen(ctx, open, w.Procs, geos, []string{proto}, eff, false)
 	})
 	if err != nil {
 		return err

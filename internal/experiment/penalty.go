@@ -17,7 +17,8 @@ import (
 // ("the penalty of the request"). The report shows parallel cycles per
 // reference, the slowdown versus the essential schedule (MIN), and the
 // fraction of processor time lost to miss stalls. The (workload, protocol)
-// grid runs on the sweep engine.
+// grid runs on the sweep engine. The model reads only miss and upgrade
+// counts, so the simulators are rate-only (see coherence.RatesOnly).
 func Penalty(o Options, blockBytes int, m timing.Model) error {
 	defer driverSpan("penalty").End()
 	g, err := mem.NewGeometry(blockBytes)
@@ -48,7 +49,7 @@ func Penalty(o Options, blockBytes int, m timing.Model) error {
 		if err != nil {
 			return timing.Times{}, err
 		}
-		return timing.RunContext(ctx, proto, r, g, m)
+		return timing.RunContext(ctx, proto, r, g, m, false)
 	})
 	if err != nil {
 		return err

@@ -37,7 +37,8 @@ func TrafficOf(res coherence.Result, g mem.Geometry) uint64 {
 // check: protocols with reduced miss rates also reduce miss traffic, the
 // traffic is very high for large blocks, and update-based protocols trade
 // fetch traffic for update traffic. The (workload, block, protocol) grid
-// runs on the sweep engine.
+// runs on the sweep engine, with rate-only simulators (see
+// coherence.RatesOnly): the report reads no miss split.
 func Traffic(o Options) error {
 	defer driverSpan("traffic").End()
 	names := o.workloads(workload.SmallSet())
@@ -72,6 +73,7 @@ func Traffic(o Options) error {
 		if err != nil {
 			return coherence.Result{}, err
 		}
+		sim = coherence.RatesOnly(sim)
 		r, err := cache.ReaderContext(ctx, w.Name)
 		if err != nil {
 			return coherence.Result{}, err

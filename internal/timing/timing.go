@@ -87,20 +87,26 @@ type missCounter interface {
 
 // Run replays a trace through the named protocol and models each
 // processor's blocking time under m. Phase markers act as barriers: every
-// processor advances to the slowest one's clock.
+// processor advances to the slowest one's clock. Times.Result carries the
+// protocol's miss split.
 func Run(protocol string, r trace.Reader, g mem.Geometry, m Model) (Times, error) {
-	return RunContext(context.Background(), protocol, r, g, m)
+	return RunContext(context.Background(), protocol, r, g, m, true)
 }
 
 // RunContext is Run with a cancellation context, observed once every
 // timingCheckEvery references so the per-reference accounting loop stays
 // cheap. A reader error other than io.EOF aborts the run and propagates
-// (Run used to present such truncated replays as complete).
-func RunContext(ctx context.Context, protocol string, r trace.Reader, g mem.Geometry, m Model) (Times, error) {
+// (Run used to present such truncated replays as complete). Without split
+// the simulator is rate-only (see coherence.RatesOnly): the times are the
+// same, and Times.Result.Counts is zero.
+func RunContext(ctx context.Context, protocol string, r trace.Reader, g mem.Geometry, m Model, split bool) (Times, error) {
 	sim, err := coherence.New(protocol, r.NumProcs(), g)
 	if err != nil {
 		trace.CloseReader(r) //nolint:errcheck // error path cleanup
 		return Times{}, err
+	}
+	if !split {
+		sim = coherence.RatesOnly(sim)
 	}
 	counter, ok := sim.(missCounter)
 	if !ok {
