@@ -100,7 +100,8 @@ cover:
 		|| { echo "FAIL: coverage $$total% is below the $(COVERFLOOR)% floor"; exit 1; }
 
 # Short fuzzing smoke over every target, starting from the committed seed
-# corpora under internal/trace/testdata/fuzz and the in-code seeds.
+# corpora under internal/trace/testdata/fuzz and
+# internal/tracestore/testdata/fuzz and the in-code seeds.
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDecoder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzParseText -fuzztime $(FUZZTIME)
@@ -108,6 +109,7 @@ fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzShardedEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzFusedEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tracestore -run '^$$' -fuzz FuzzTracestoreRoundtrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tracestore -run '^$$' -fuzz FuzzDecodeSegment -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzJobSpec -fuzztime $(FUZZTIME)
 
 # All benchmarks across every package: the root paper-artifact benchmarks,
