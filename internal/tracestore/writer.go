@@ -76,7 +76,7 @@ type Writer struct {
 	runProc          uint64 // processor of the open proc-column run
 	runLen           uint64 // its length so far (0 = no open run)
 
-	toc    []SegmentInfo
+	toc    []byte // the TOC entries so far, encoded
 	stats  PackStats
 	err    error
 	closed bool
@@ -234,7 +234,6 @@ func (w *Writer) flushSegment() {
 		SideRefs:   uint64(w.nSide),
 		MinAddr:    mem.Addr(w.minAddr),
 		MaxAddr:    mem.Addr(w.maxAddr),
-		PerProc:    append([]uint64(nil), w.perProc...),
 		CRC:        crc,
 	}
 
@@ -246,14 +245,17 @@ func (w *Writer) flushSegment() {
 	}
 	w.off += payloadLen
 
-	footer := appendSegmentIndex(nil, info)
+	footer := appendSegmentIndex(nil, info, w.perProc)
 	if _, err := w.w.Write(footer); err != nil {
 		w.fail(err)
 		return
 	}
 	w.off += int64(len(footer))
 
-	w.toc = append(w.toc, info)
+	w.toc = binary.AppendUvarint(w.toc, uint64(info.Offset))
+	w.toc = binary.AppendUvarint(w.toc, uint64(info.PayloadLen))
+	w.toc = append(w.toc, footer...)
+	w.stats.Segments++
 	w.stats.Refs += info.Refs
 	w.stats.DataRefs += info.DataRefs
 	w.stats.SideRefs += info.SideRefs
@@ -269,16 +271,16 @@ func (w *Writer) flushSegment() {
 	clear(w.perProc)
 }
 
-// appendSegmentIndex encodes a segment's index fields (the per-segment
-// footer; the TOC entry is the same encoding prefixed with the offset and
-// payload length).
-func appendSegmentIndex(b []byte, s SegmentInfo) []byte {
+// appendSegmentIndex encodes a segment's index fields and its
+// per-processor reference counts (the per-segment footer; the TOC entry is
+// the same encoding prefixed with the offset and payload length).
+func appendSegmentIndex(b []byte, s SegmentInfo, perProc []uint64) []byte {
 	b = binary.AppendUvarint(b, s.Refs)
 	b = binary.AppendUvarint(b, s.DataRefs)
 	b = binary.AppendUvarint(b, s.SideRefs)
 	b = binary.AppendUvarint(b, uint64(s.MinAddr))
 	b = binary.AppendUvarint(b, uint64(s.MaxAddr))
-	for _, n := range s.PerProc {
+	for _, n := range perProc {
 		b = binary.AppendUvarint(b, n)
 	}
 	return binary.LittleEndian.AppendUint32(b, s.CRC)
@@ -299,13 +301,8 @@ func (w *Writer) Close() error {
 	w.closed = true
 
 	tocOff := w.off
-	var toc []byte
-	toc = binary.AppendUvarint(toc, uint64(len(w.toc)))
-	for _, s := range w.toc {
-		toc = binary.AppendUvarint(toc, uint64(s.Offset))
-		toc = binary.AppendUvarint(toc, uint64(s.PayloadLen))
-		toc = appendSegmentIndex(toc, s)
-	}
+	toc := binary.AppendUvarint(nil, uint64(w.stats.Segments))
+	toc = append(toc, w.toc...)
 	toc = binary.LittleEndian.AppendUint32(toc, crc32.ChecksumIEEE(toc))
 	if _, err := w.w.Write(toc); err != nil {
 		w.fail(err)
@@ -328,7 +325,6 @@ func (w *Writer) Close() error {
 	}
 
 	sum := sha256.Sum256(toc)
-	w.stats.Segments = len(w.toc)
 	w.stats.Bytes = w.off
 	w.stats.TOCDigest = hex.EncodeToString(sum[:])
 	return nil
