@@ -20,8 +20,6 @@ import (
 	"io"
 	"runtime"
 
-	"repro/internal/core"
-	"repro/internal/mem"
 	"repro/internal/obs/span"
 	"repro/internal/sweep"
 	"repro/internal/trace"
@@ -274,75 +272,6 @@ func getWorkloads(names []string) ([]*workload.Workload, error) {
 	return ws, nil
 }
 
-// fusedTri fans one shard's references to the three fused classifiers, so a
-// whole (workload x blocks) grid row replays its trace exactly once.
-type fusedTri struct {
-	oc *core.FusedClassifier
-	ec *core.FusedEggers
-	tc *core.FusedTorrellas
-}
-
-func newFusedTri(procs int, geos []mem.Geometry) *fusedTri {
-	return &fusedTri{
-		oc: core.NewFusedClassifier(procs, geos),
-		ec: core.NewFusedEggers(procs, geos),
-		tc: core.NewFusedTorrellas(procs, geos),
-	}
-}
-
-func (c *fusedTri) Ref(r trace.Ref) {
-	c.oc.Ref(r)
-	c.ec.Ref(r)
-	c.tc.Ref(r)
-}
-
-// RefBatch implements trace.BatchConsumer.
-func (c *fusedTri) RefBatch(refs []trace.Ref) {
-	c.oc.RefBatch(refs)
-	c.ec.RefBatch(refs)
-	c.tc.RefBatch(refs)
-}
-
-// SetSpanTrack implements span.TrackSetter by forwarding the driving
-// goroutine's track to the three fused classifiers.
-func (c *fusedTri) SetSpanTrack(t *span.Track) {
-	c.oc.SetSpanTrack(t)
-	c.ec.SetSpanTrack(t)
-	c.tc.SetSpanTrack(t)
-}
-
-// fusedTriCounts is the merged result of a fusedTri pass: the three
-// schemes' counts at every geometry, plus the shared denominator.
-type fusedTriCounts struct {
-	ours         []core.Counts
-	eggers, torr []core.SharingCounts
-	refs         uint64
-}
-
-func mergeFusedTriCounts(a, b fusedTriCounts) fusedTriCounts {
-	for i := range a.ours {
-		a.ours[i] = a.ours[i].Add(b.ours[i])
-		a.eggers[i] = a.eggers[i].Add(b.eggers[i])
-		a.torr[i] = a.torr[i].Add(b.torr[i])
-	}
-	a.refs += b.refs
-	return a
-}
-
-// classifyAllFused drives the three fused classifiers over shard-native
-// replays of one workload trace: every geometry, every scheme, one pass per
-// shard (shards <= 1 is one serial pass). The block space is partitioned by
-// the coarsest geometry, which is a valid partition at every nested level.
-func classifyAllFused(ctx context.Context, open func(shard int) (trace.Reader, error), procs int, geos []mem.Geometry, shards int) (fusedTriCounts, error) {
-	coarse := core.CoarsestGeometry(geos)
-	return core.RunShardedOpen(ctx, open, shards, trace.BlockShard(coarse, shards),
-		func(int) *fusedTri { return newFusedTri(procs, geos) },
-		func(c *fusedTri) fusedTriCounts {
-			return fusedTriCounts{ours: c.oc.Finish(), eggers: c.ec.Finish(), torr: c.tc.Finish(), refs: c.oc.DataRefs()}
-		},
-		mergeFusedTriCounts)
-}
-
 // flattenGroups lays per-group cell slices out on the flat per-cell grid:
 // group gi's cells land at [gi*per, (gi+1)*per). Failed groups (nil slices)
 // leave zero values, which the renderers skip via the expanded failures.
@@ -367,6 +296,24 @@ func expandGroupFailures(gFails *sweep.Failures, per int) *sweep.Failures {
 		for j := 0; j < per; j++ {
 			out.Cells = append(out.Cells, &sweep.CellError{Cell: ce.Cell*per + j, Err: ce.Err, Stack: ce.Stack})
 		}
+	}
+	return out
+}
+
+// firstFailurePerGroup maps the failures of a sweep whose cells come in
+// groups of per (Table 1's three schemes of one workload) onto the groups:
+// a group fails with its first failed cell's error.
+func firstFailurePerGroup(fails *sweep.Failures, per int) *sweep.Failures {
+	if fails == nil {
+		return nil
+	}
+	out := &sweep.Failures{}
+	for _, ce := range fails.Cells {
+		g := ce.Cell / per
+		if n := len(out.Cells); n > 0 && out.Cells[n-1].Cell == g {
+			continue
+		}
+		out.Cells = append(out.Cells, &sweep.CellError{Cell: g, Err: ce.Err, Stack: ce.Stack})
 	}
 	return out
 }

@@ -55,24 +55,28 @@ var fusedDrivers = []struct {
 	{"Table1", Table1,
 		func(t *testing.T, o Options, ws []*workload.Workload) error {
 			blocks := []int{32, 1024}
-			var cells []table1Cell
+			var cells [][][3]uint64 // per (workload, scheme), per block
 			for _, w := range ws {
-				for _, b := range blocks {
+				ours, eggers, torr := make([][3]uint64, len(blocks)), make([][3]uint64, len(blocks)), make([][3]uint64, len(blocks))
+				for bi, b := range blocks {
 					g := mem.MustGeometry(b)
-					ours, _, err := core.Classify(w.Reader(), g)
+					c, _, err := core.Classify(w.Reader(), g)
 					if err != nil {
 						t.Fatal(err)
 					}
-					eggers, _, err := core.ClassifyEggers(w.Reader(), g)
+					ours[bi] = [3]uint64{c.PTS, c.Cold(), c.PFS}
+					e, _, err := core.ClassifyEggers(w.Reader(), g)
 					if err != nil {
 						t.Fatal(err)
 					}
-					torr, _, err := core.ClassifyTorrellas(w.Reader(), g)
+					eggers[bi] = [3]uint64{e.True, e.Cold, e.False}
+					tc, _, err := core.ClassifyTorrellas(w.Reader(), g)
 					if err != nil {
 						t.Fatal(err)
 					}
-					cells = append(cells, table1Cell{ours: ours, eggers: eggers, torr: torr})
+					torr[bi] = [3]uint64{tc.True, tc.Cold, tc.False}
 				}
+				cells = append(cells, ours, eggers, torr)
 			}
 			return renderTable1(o, ws, blocks, cells, nil)
 		}},
