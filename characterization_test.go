@@ -197,7 +197,7 @@ func TestLifetimesCharacterization(t *testing.T) {
 // reference the two must agree on the miss and upgrade counts the timing
 // model reads, and at the end the rate-only Result must be the full one
 // with Counts zero, while the full one keeps its split. The fused runner
-// must return the same rate-only Results at every shard count.
+// must return the same rate-only Results.
 func TestRatesOnlyMatchesFull(t *testing.T) {
 	type counter interface {
 		MissCount() uint64
@@ -252,17 +252,15 @@ func TestRatesOnlyMatchesFull(t *testing.T) {
 			})
 			compare(g, func() (Simulator, error) { return coherence.NewWBWILimited(tr.Procs, g, 2) })
 		}
-		open := func(int) (Reader, error) { return tr.Reader(), nil }
-		for _, shards := range []int{1, 3} {
-			got, err := coherence.RunProtocolsShardedOpen(context.Background(), open, tr.Procs, geos, names, shards, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("seed=%d B=%d %s shards=%d:\n fused rate-only %+v\n            want %+v",
-						tc.seed, geos[i/len(names)].BlockBytes(), names[i%len(names)], shards, got[i], want[i])
-				}
+		open := func() (Reader, error) { return tr.Reader(), nil }
+		got, err := coherence.RunProtocols(context.Background(), open, tr.Procs, geos, names, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("seed=%d B=%d %s:\n fused rate-only %+v\n            want %+v",
+					tc.seed, geos[i/len(names)].BlockBytes(), names[i%len(names)], got[i], want[i])
 			}
 		}
 	}

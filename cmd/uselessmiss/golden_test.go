@@ -43,21 +43,12 @@ func runGolden(t *testing.T, args []string, extra ...string) string {
 }
 
 // TestGoldenOutputs pins each experiment's exact stdout and proves the
-// parallel pipeline is deterministic end to end: the serial run (-j 1), the
-// parallel sweep (-j 8), and the block-sharded pipeline (-shards 1 and
-// -shards 8) must all match the committed golden byte for byte. Refresh
-// with:
+// parallel pipeline is deterministic end to end: the serial run (-j 1) and
+// the parallel sweep (-j 8) must both match the committed golden byte for
+// byte. Refresh with:
 //
 //	go test ./cmd/uselessmiss -run TestGoldenOutputs -update
 func TestGoldenOutputs(t *testing.T) {
-	variants := []struct {
-		name  string
-		extra []string
-	}{
-		{"-j 8", []string{"-j", "8"}},
-		{"-shards 1", []string{"-j", "1", "-shards", "1"}},
-		{"-shards 8", []string{"-j", "1", "-shards", "8"}},
-	}
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join("testdata", "golden", tc.name+".txt")
@@ -79,11 +70,9 @@ func TestGoldenOutputs(t *testing.T) {
 				t.Errorf("-j 1 output differs from golden %s:\n got:\n%s\nwant:\n%s",
 					path, serial, want)
 			}
-			for _, v := range variants {
-				if got := runGolden(t, tc.args, v.extra...); got != string(want) {
-					t.Errorf("%s output differs from golden %s:\n got:\n%s\nwant:\n%s",
-						v.name, path, got, want)
-				}
+			if got := runGolden(t, tc.args, "-j", "8"); got != string(want) {
+				t.Errorf("-j 8 output differs from golden %s:\n got:\n%s\nwant:\n%s",
+					path, got, want)
 			}
 		})
 	}

@@ -171,9 +171,9 @@ func (in *instruments) startSnapshots(base obs.RunReport) (*obs.Snapshotter, fun
 }
 
 // exportSpans stops the recorder and writes the trace_event and JSONL
-// exports. Every pipeline goroutine (sweep workers, shard consumers,
-// readahead decoders) is joined before the experiment returns,
-// so all tracks are released by the time this runs.
+// exports. Every pipeline goroutine (sweep workers, readahead decoders) is
+// joined before the experiment returns, so all tracks are released by the
+// time this runs.
 func (in *instruments) exportSpans() error {
 	if in.traceOutPath == "" && in.spanLogPath == "" {
 		return nil

@@ -29,7 +29,6 @@ func cmdRegen(ctx context.Context, args []string, out io.Writer) error {
 	dir := fs.String("o", "results", "output directory")
 	quick := fs.Bool("quick", false, "substitute small data sets in the heavy runs")
 	par := fs.Int("j", 0, "worker goroutines for the sweep grids (0 = GOMAXPROCS, 1 = serial)")
-	shards := fs.Int("shards", 0, "block shards per cell (0 or 1 = serial; output is identical at any value)")
 	keepGoing := fs.Bool("keep-going", false, "render partial artifacts with failed sweep cells marked FAILED instead of aborting (exit code 3)")
 	resume := fs.Bool("resume", false, "skip artifacts whose manifest checkpoint matches the file on disk")
 	traceOut := fs.String("trace-out", "", "pack every workload's trace into this directory first, then replay all artifacts out-of-core from the packed files")
@@ -50,7 +49,7 @@ func cmdRegen(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	cfg := regenConfig{
-		dir: *dir, quick: *quick, par: *par, shards: *shards,
+		dir: *dir, quick: *quick, par: *par,
 		keepGoing: *keepGoing, resume: *resume, traceOut: *traceOut,
 		onTraces: func(s *experiment.TraceFileSet) { in.traceManifest = s.Manifest },
 	}
@@ -62,7 +61,7 @@ type regenConfig struct {
 	dir              string
 	quick, keepGoing bool
 	resume           bool
-	par, shards      int
+	par              int
 	traceOut         string
 	traces           *experiment.TraceFileSet
 	// onTraces, when set, is told about the packed trace set once it is
@@ -215,7 +214,7 @@ func writeArtifact(ctx context.Context, path string, cfg regenConfig,
 	h := sha256.New()
 	count := &countingWriter{w: io.MultiWriter(tmp, h)}
 	o := experiment.Options{
-		Out: count, Quick: cfg.quick, Parallelism: cfg.par, Shards: cfg.shards,
+		Out: count, Quick: cfg.quick, Parallelism: cfg.par,
 		Cache: cache, Ctx: ctx, KeepGoing: cfg.keepGoing, TraceFiles: cfg.traces,
 	}
 	runErr := run(o)

@@ -29,7 +29,7 @@ func cmdServe(ctx context.Context, args []string, out io.Writer) error {
 	fs.DurationVar(&cfg.MaxJobTimeout, "max-job-timeout", 10*time.Minute, "cap on spec-requested deadlines")
 	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", 15*time.Second, "graceful drain bound; jobs past it are force-canceled")
 	fs.Int64Var(&cfg.MaxBodyBytes, "max-body", 256<<20, "max uploaded trace body bytes")
-	fs.IntVar(&cfg.MaxParallelism, "max-par", 0, "clamp on spec parallelism/shards (0 = 4x GOMAXPROCS)")
+	fs.IntVar(&cfg.MaxParallelism, "max-par", 0, "clamp on spec parallelism (0 = 4x GOMAXPROCS)")
 	logLevel := fs.String("log", "warn", "slog level: debug, info, warn or error")
 	if err := fs.Parse(args); err != nil {
 		return err

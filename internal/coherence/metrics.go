@@ -5,9 +5,8 @@ import (
 )
 
 // Protocol-simulation counters, bumped once per simulator Finish via
-// base.result() (every protocol funnels through it). Sharded runs call
-// Finish once per shard and each data reference lands on exactly one
-// shard, so both totals are invariant across -j and -shards.
+// base.result() (every protocol funnels through it). Every simulator
+// replays its whole trace once, so both totals are invariant across -j.
 var (
 	mCoherenceRefs = obs.Default.Counter(obs.NameCoherenceRefs)
 	mCoherenceMiss = obs.Default.Counter(obs.NameCoherenceMiss)

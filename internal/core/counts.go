@@ -88,11 +88,6 @@ type SharingCounts struct {
 // Total returns all misses.
 func (s SharingCounts) Total() uint64 { return s.Cold + s.True + s.False }
 
-// Add returns the element-wise sum of two SharingCounts.
-func (s SharingCounts) Add(o SharingCounts) SharingCounts {
-	return SharingCounts{Cold: s.Cold + o.Cold, True: s.True + o.True, False: s.False + o.False}
-}
-
 // Rate returns n as a percentage of refs, the form used by the paper's
 // figures (miss rate over data references). It returns 0 when refs is 0.
 func Rate(n, refs uint64) float64 {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -85,20 +84,6 @@ func fusedBlockSizes(sorted []mem.Geometry) []int32 {
 		blocks[l] = int32(g.BlockBytes())
 	}
 	return blocks
-}
-
-// CoarsestGeometry returns the geometry with the largest block size: the
-// granularity fused sharded replays partition the block space by, since a
-// partition by the coarsest blocks is a valid partition at every nested
-// level.
-func CoarsestGeometry(geoms []mem.Geometry) mem.Geometry {
-	g := geoms[0]
-	for _, o := range geoms[1:] {
-		if o.BlockBytes() > g.BlockBytes() {
-			g = o
-		}
-	}
-	return g
 }
 
 // FusedClassifier runs the paper's Appendix A classification at every
@@ -815,40 +800,4 @@ func FusedClassifyTorrellas(r trace.Reader, geoms []mem.Geometry) ([]SharingCoun
 	}
 	counts := t.Finish()
 	return counts, t.DataRefs(), nil
-}
-
-// fusedResult pairs per-geometry counts with the shared denominator for
-// the sharded merge.
-type fusedResult struct {
-	counts []Counts
-	refs   uint64
-}
-
-func mergeFusedResults(a, b fusedResult) fusedResult {
-	for i := range a.counts {
-		a.counts[i] = a.counts[i].Add(b.counts[i])
-	}
-	a.refs += b.refs
-	return a
-}
-
-// FusedShardedClassify runs the fused classification with the block space
-// partitioned across shards parallel fused classifiers, each driving its
-// own reader from open through a shard-native filter. The partition is by
-// the coarsest geometry's blocks: nested blocks never straddle a coarse
-// block, so the partition is valid at every level and the merged counts
-// equal the serial fused counts bit for bit. shards <= 1 opens one reader
-// and is exactly the serial fused path.
-func FusedShardedClassify(ctx context.Context, open func(shard int) (trace.Reader, error), procs int, geoms []mem.Geometry, shards int) ([]Counts, uint64, error) {
-	coarse := CoarsestGeometry(geoms)
-	res, err := RunShardedOpen(ctx, open, shards, trace.BlockShard(coarse, shards),
-		func(int) *FusedClassifier { return NewFusedClassifier(procs, geoms) },
-		func(f *FusedClassifier) fusedResult {
-			return fusedResult{counts: f.Finish(), refs: f.DataRefs()}
-		},
-		mergeFusedResults)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.counts, res.refs, nil
 }

@@ -3,14 +3,10 @@ package core
 // The fused-replay differential suite: one fused pass over a trace must
 // reproduce, geometry by geometry and bit for bit, the counts of the
 // per-geometry classifiers run over separate replays — for all three
-// schemes, across shard counts, with every miss class covered
-// non-vacuously, and with the paper's accounting identities intact on the
-// fused path.
+// schemes, with every miss class covered non-vacuously, and with the
+// paper's accounting identities intact on the fused path.
 
 import (
-	"context"
-	"errors"
-	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -18,6 +14,58 @@ import (
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
+
+// quickConf bounds a differential property's iteration count so the full
+// {scheme x geometry} sweep stays fast.
+func quickConf(n int) *quick.Config { return &quick.Config{MaxCount: n} }
+
+// randomMixedTrace interleaves contended data references with sync and
+// phase references, which the classifiers must step over.
+func randomMixedTrace(rng *rand.Rand, procs, n, addrRange int) *trace.Trace {
+	tr := trace.New(procs)
+	for i := 0; i < n; i++ {
+		p := rng.Intn(procs)
+		switch rng.Intn(12) {
+		case 0:
+			tr.Append(trace.A(p, mem.Addr(addrRange+rng.Intn(4))))
+		case 1:
+			tr.Append(trace.R(p, mem.Addr(addrRange+rng.Intn(4))))
+		case 2:
+			tr.Append(trace.P())
+		case 3, 4, 5:
+			tr.Append(trace.S(p, mem.Addr(rng.Intn(addrRange))))
+		default:
+			tr.Append(trace.L(p, mem.Addr(rng.Intn(addrRange))))
+		}
+	}
+	return tr
+}
+
+// allClassesTrace produces every one of the five miss classes at B=8
+// (2 words per block): the differential properties then cannot pass
+// vacuously on traces missing a class.
+func allClassesTrace() *trace.Trace {
+	return trace.New(3,
+		// P0 loads block 0 untouched: PC when the lifetime closes.
+		trace.L(0, 0),
+		// P1 stores word 1 of block 0, invalidating P0 (classifies P0's
+		// PC), then P0 misses again and reads the new value: PTS.
+		trace.S(1, 1),
+		trace.L(0, 1),
+		// P1 stores word 0; P0's copy dies again; P0 refetches but only
+		// touches word 1, which P1 did not redefine: PFS.
+		trace.S(1, 0),
+		trace.L(0, 1),
+		trace.S(1, 0),
+		// P2's first miss lands on a modified block and reads a
+		// communicated word: CTS.
+		trace.L(2, 0),
+		// Block 2 (words 4-5): P1 modifies it first, then P2's cold miss
+		// touches only the word P1 never wrote: CFS.
+		trace.S(1, 4),
+		trace.L(2, 5),
+	)
+}
 
 // fusedGeometries is the nesting sweep the fused suite exercises: out of
 // order and with a duplicate, so the internal level sort and the
@@ -123,44 +171,6 @@ func TestFusedCoversAllFiveClasses(t *testing.T) {
 	}
 }
 
-// TestFusedShardedMatchesSerial: the shard-native fused pipeline must equal
-// the serial fused pass (and hence the per-cell replays) at every shard
-// count, partitioned by the coarsest geometry.
-func TestFusedShardedMatchesSerial(t *testing.T) {
-	geos := fusedGeometries()
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := randomMixedTrace(rng, 6, 800, 640)
-		want, wantRefs, err := FusedClassify(tr.Reader(), geos)
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		open := func(int) (trace.Reader, error) { return tr.Reader(), nil }
-		for _, n := range shardCounts {
-			got, refs, err := FusedShardedClassify(context.Background(), open, tr.Procs, geos, n)
-			if err != nil {
-				t.Log(err)
-				return false
-			}
-			if refs != wantRefs {
-				t.Logf("shards=%d: refs %d, want %d", n, refs, wantRefs)
-				return false
-			}
-			for gi := range geos {
-				if got[gi] != want[gi] {
-					t.Logf("shards=%d %v: got %+v, want %+v", n, geos[gi], got[gi], want[gi])
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, quickConf(8)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestFusedInvariants checks the paper's accounting identities on the
 // fused path: Essential = Cold + PTS (+ Repl, which the infinite-cache
 // fused path keeps at 0) at every level, and the data-reference
@@ -227,67 +237,5 @@ func TestFusedDuplicateLevelsAgree(t *testing.T) {
 	}
 	if fusedT[0] != fusedT[4] {
 		t.Fatalf("duplicate Torrellas levels diverge: %+v vs %+v", fusedT[0], fusedT[4])
-	}
-}
-
-// failAfterReader yields n loads then a terminal error.
-type failAfterReader struct {
-	n   int
-	pos int
-	err error
-}
-
-func (r *failAfterReader) NumProcs() int { return 2 }
-func (r *failAfterReader) Next() (trace.Ref, error) {
-	if r.pos >= r.n {
-		return trace.Ref{}, r.err
-	}
-	r.pos++
-	return trace.L(0, mem.Addr(r.pos)), nil
-}
-
-// TestRunShardedOpenErrors: open errors and mid-stream reader errors must
-// surface as the run's error (closing any already-opened readers), and a
-// canceled caller context must win.
-func TestRunShardedOpenErrors(t *testing.T) {
-	geos := []mem.Geometry{mem.MustGeometry(8), mem.MustGeometry(64)}
-	openErr := errors.New("generator exploded")
-
-	// open fails on the second shard.
-	calls := 0
-	open := func(int) (trace.Reader, error) {
-		calls++
-		if calls > 1 {
-			return nil, openErr
-		}
-		return trace.New(2, trace.L(0, 0)).Reader(), nil
-	}
-	if _, _, err := FusedShardedClassify(context.Background(), open, 2, geos, 4); !errors.Is(err, openErr) {
-		t.Errorf("open error not propagated: %v", err)
-	}
-
-	// A shard's stream fails mid-replay: the real error beats the induced
-	// cancellation of its siblings.
-	streamErr := errors.New("backing store exploded")
-	shard := 0
-	openFail := func(int) (trace.Reader, error) {
-		shard++
-		if shard == 2 {
-			return &failAfterReader{n: 100, err: streamErr}, nil
-		}
-		return &failAfterReader{n: 5000, err: io.EOF}, nil
-	}
-	if _, _, err := FusedShardedClassify(context.Background(), openFail, 2, geos, 4); !errors.Is(err, streamErr) {
-		t.Errorf("stream error not propagated: %v", err)
-	}
-
-	// Caller cancellation reports the caller's context error.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	openOK := func(int) (trace.Reader, error) {
-		return &failAfterReader{n: 1 << 20, err: io.EOF}, nil
-	}
-	if _, _, err := FusedShardedClassify(ctx, openOK, 2, geos, 4); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancellation not propagated: %v", err)
 	}
 }

@@ -6,9 +6,9 @@ import (
 
 // Per-scheme classified-reference counters, bumped once per classifier
 // Finish (one atomic add per run, nothing on the per-reference path).
-// Because every data reference lands on exactly one shard of a sharded
-// run, the per-scheme totals are invariant across -j and -shards — they
-// are the "refs" leg of the metric-invariance differential test.
+// Every cell replays its whole trace once, so the per-scheme totals are
+// invariant across -j — they are the "refs" leg of the metric-determinism
+// test.
 var (
 	mOursRefs      = obs.Default.Counter(obs.NameOursRefs)
 	mEggersRefs    = obs.Default.Counter(obs.NameEggersRefs)

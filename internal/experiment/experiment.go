@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 
 	"repro/internal/obs/span"
 	"repro/internal/sweep"
@@ -67,21 +66,11 @@ type Options struct {
 	// Zero means GOMAXPROCS; 1 recovers the serial path. The rendered
 	// output is byte-identical at any setting.
 	Parallelism int
-	// Shards block-shards each cell's replay (the CLI's -shards flag):
-	// that many parallel consumers each open their own reader over the
-	// cell's trace, keep the references of their share of the cache
-	// blocks, and the per-shard counts are merged. 0 or 1 recovers the
-	// serial path: one reader, driven inline. Shard invariance guarantees
-	// the rendered output is byte-identical at any setting; the effective
-	// per-cell shard count is capped so cells x shards goroutines stay
-	// within the shared budget (see shardsPerCell).
-	Shards int
 	// TraceFiles binds workloads to packed trace files (the CLI's
 	// -trace-file flag): bound workloads replay out-of-core from their
-	// files instead of regenerating — through segment-skipping shard
-	// readers where a cell partitions by cache block (see shardSource),
-	// and streamed through the trace cache everywhere else. Nil means
-	// every workload generates.
+	// files instead of regenerating — through a file reader of their own
+	// in the fused cells (see source), and streamed through the trace
+	// cache everywhere else. Nil means every workload generates.
 	TraceFiles *TraceFileSet
 	// Cache shares materialized workload traces across driver calls
 	// (regen runs every artifact off one cache). Nil gives each driver
@@ -128,41 +117,6 @@ func (o Options) ctx() context.Context {
 		return o.Ctx
 	}
 	return context.Background()
-}
-
-// shardsPerCell bounds the per-cell shard count so the sweep pool and the
-// shard pools compose under one goroutine budget: with P concurrent cells
-// and S shards per cell the pipeline runs about P*S consumer goroutines,
-// each holding its own consumer state and its own reader, so the effective
-// S is budget/P where the budget is the largest of GOMAXPROCS, the
-// requested parallelism and the requested shard count. Every shard reads
-// (or regenerates) the cell's stream and filters out the other shards'
-// references, so shards beyond the budget add decoding work and per-shard
-// state with no idle CPU to run them; a static cap costs nothing because
-// shard invariance keeps the output identical at any effective value.
-func (o Options) shardsPerCell() int {
-	if o.Shards <= 1 {
-		return 1
-	}
-	par := o.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	budget := runtime.GOMAXPROCS(0)
-	if par > budget {
-		budget = par
-	}
-	if o.Shards > budget {
-		budget = o.Shards
-	}
-	eff := budget / par
-	if eff < 1 {
-		eff = 1
-	}
-	if eff > o.Shards {
-		eff = o.Shards
-	}
-	return eff
 }
 
 // traceCache returns the shared cache, or a fresh one scoped to the

@@ -8,6 +8,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/report"
 	"repro/internal/sweep"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -41,21 +42,25 @@ func Fig5(o Options) error {
 		geos[i] = g
 	}
 
-	// One fused sweep cell per workload: a single pass (per shard) over the
-	// trace feeds every block size at once.
+	// One fused sweep cell per workload: a single pass over the trace feeds
+	// every block size at once.
 	cache := o.traceCache()
 	groups, gFails, err := mapCells(o, len(ws), func(ctx context.Context, wi int) ([]fig5Cell, error) {
 		w := ws[wi]
 		defer replaySpan(ctx, w.Name, "fused", 0).End()
-		eff := o.shardsPerCell()
-		open, err := o.shardSource(ctx, cache, w.Name, core.CoarsestGeometry(geos), eff)
+		open, err := o.source(ctx, cache, w.Name)
 		if err != nil {
 			return nil, err
 		}
-		counts, refs, err := core.FusedShardedClassify(ctx, open, w.Procs, geos, eff)
+		r, err := open()
 		if err != nil {
 			return nil, err
 		}
+		f := core.NewFusedClassifier(w.Procs, geos)
+		if err := trace.DriveContext(ctx, r, f); err != nil {
+			return nil, err
+		}
+		counts, refs := f.Finish(), f.DataRefs()
 		out := make([]fig5Cell, len(geos))
 		for bi := range geos {
 			out[bi] = fig5Cell{counts: counts[bi], refs: refs}

@@ -43,18 +43,17 @@ func Fig6(o Options, blockBytes int) error {
 		}
 	}
 
-	// One fused sweep cell per workload: a single pass (per shard) over the
-	// trace drives every protocol's simulator at once.
+	// One fused sweep cell per workload: a single pass over the trace drives
+	// every protocol's simulator at once.
 	cache := o.traceCache()
 	groups, gFails, err := mapCells(o, len(ws), func(ctx context.Context, wi int) ([]coherence.Result, error) {
 		w := ws[wi]
 		defer replaySpan(ctx, w.Name, "fused-protocols", blockBytes).End()
-		eff := o.shardsPerCell()
-		open, err := o.shardSource(ctx, cache, w.Name, g, eff)
+		open, err := o.source(ctx, cache, w.Name)
 		if err != nil {
 			return nil, err
 		}
-		return coherence.RunProtocolsShardedOpen(ctx, open, w.Procs, []mem.Geometry{g}, protos, eff, true)
+		return coherence.RunProtocols(ctx, open, w.Procs, []mem.Geometry{g}, protos, true)
 	})
 	if err != nil {
 		return err

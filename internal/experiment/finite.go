@@ -44,17 +44,11 @@ func FiniteSweep(o Options, blockBytes, assoc int) error {
 		w := ws[i/len(CacheSizes)]
 		capacity := CacheSizes[i%len(CacheSizes)]
 		defer replaySpan(ctx, w.Name, capacityLabel(capacity), blockBytes).End()
-		// Every shard replays the whole stream, never o.shardSource: the
-		// finite partition is keyed by cache set, and the trace-store
-		// segment skip filters by block % shards, which drops references a
-		// shard owns unless shards is a power of two no larger than the
-		// set count.
-		src, err := cache.SourceContext(ctx, w.Name)
+		r, err := cache.ReaderContext(ctx, w.Name)
 		if err != nil {
 			return finiteCell{}, err
 		}
-		open := func(int) (trace.Reader, error) { return src() }
-		counts, refs, err := classifyAtCapacity(ctx, open, w.Procs, g, capacity, assoc, o.shardsPerCell())
+		counts, refs, err := classifyAtCapacity(ctx, r, g, capacity, assoc)
 		if err != nil {
 			return finiteCell{}, err
 		}
@@ -104,15 +98,17 @@ func FiniteSweep(o Options, blockBytes, assoc int) error {
 	return partialErr(fails)
 }
 
-// classifyAtCapacity classifies one trace with the given per-processor
-// cache capacity, sharded across shards consumers that each replay a
-// reader from open; capacity 0 means infinite.
-func classifyAtCapacity(ctx context.Context, open func(int) (trace.Reader, error), procs int, g mem.Geometry, capacity, assoc, shards int) (core.Counts, uint64, error) {
+// classifyAtCapacity classifies one replay of r with the given
+// per-processor cache capacity; capacity 0 means infinite.
+func classifyAtCapacity(ctx context.Context, r trace.Reader, g mem.Geometry, capacity, assoc int) (core.Counts, uint64, error) {
 	if capacity == 0 {
-		return core.ShardedClassify(ctx, open, procs, g, shards)
+		c := core.NewClassifier(r.NumProcs(), g)
+		if err := trace.DriveContext(ctx, r, c); err != nil {
+			return core.Counts{}, 0, err
+		}
+		return c.Finish(), c.DataRefs(), nil
 	}
-	cfg := finite.Config{CapacityBytes: capacity, Assoc: assoc}
-	return finite.ShardedClassify(ctx, open, procs, g, cfg, shards)
+	return finite.ClassifyContext(ctx, r, g, finite.Config{CapacityBytes: capacity, Assoc: assoc})
 }
 
 func capacityLabel(capacity int) string {

@@ -2,9 +2,9 @@ package experiment
 
 // Driver-level fused differential: the fused drivers (Fig. 5, Fig. 6,
 // Table 1) must render byte-identical reports to the same grid computed
-// cell by cell with the per-cell reference classifiers and simulators,
-// across the full parallelism x shards matrix — the end-to-end consequence
-// of the fused classifiers' bit-for-bit equivalence.
+// cell by cell with the per-cell reference classifiers and simulators, at
+// every parallelism — the end-to-end consequence of the fused classifiers'
+// bit-for-bit equivalence.
 
 import (
 	"bytes"
@@ -82,8 +82,8 @@ var fusedDrivers = []struct {
 		}},
 }
 
-// TestFusedDriversMatchPerCell: for every fused driver, every (-j, -shards)
-// combination renders exactly the report the per-cell references give.
+// TestFusedDriversMatchPerCell: for every fused driver, every -j renders
+// exactly the report the per-cell references give.
 func TestFusedDriversMatchPerCell(t *testing.T) {
 	for _, d := range fusedDrivers {
 		t.Run(d.name, func(t *testing.T) {
@@ -97,17 +97,13 @@ func TestFusedDriversMatchPerCell(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, par := range []int{1, 8} {
-				for _, shards := range []int{1, 8} {
-					var got bytes.Buffer
-					o := boundedOpts(&got, par)
-					o.Shards = shards
-					if err := d.run(o); err != nil {
-						t.Fatalf("j=%d shards=%d: %v", par, shards, err)
-					}
-					if !bytes.Equal(want.Bytes(), got.Bytes()) {
-						t.Errorf("j=%d shards=%d output differs from the per-cell reference:\n%s\nvs\n%s",
-							par, shards, got.String(), want.String())
-					}
+				var got bytes.Buffer
+				if err := d.run(boundedOpts(&got, par)); err != nil {
+					t.Fatalf("j=%d: %v", par, err)
+				}
+				if !bytes.Equal(want.Bytes(), got.Bytes()) {
+					t.Errorf("j=%d output differs from the per-cell reference:\n%s\nvs\n%s",
+						par, got.String(), want.String())
 				}
 			}
 		})

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/coherence"
-	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/report"
 	"repro/internal/workload"
@@ -56,23 +55,21 @@ func Large(o Options) error {
 		}
 	}
 
-	// One sweep cell per (workload, protocol): one pass (per shard) over the
-	// trace drives the protocol's simulators at both block sizes, with the
-	// shards partitioned by the coarser one. A cell per (workload, block)
-	// running every protocol would read the trace fewer times; with
-	// rate-only simulators its heap is no longer the obstacle, but it did
-	// not measurably beat this shape (DESIGN.md §12).
+	// One sweep cell per (workload, protocol): one pass over the trace
+	// drives the protocol's simulators at both block sizes. A cell per
+	// (workload, block) running every protocol would read the trace fewer
+	// times; with rate-only simulators its heap is no longer the obstacle,
+	// but it did not measurably beat this shape (DESIGN.md §12).
 	cache := o.traceCache()
 	cells, fails, err := mapCells(o, len(ws)*len(protos), func(ctx context.Context, i int) ([]coherence.Result, error) {
 		w := ws[i/len(protos)]
 		proto := protos[i%len(protos)]
 		defer replaySpan(ctx, w.Name, proto, 0).End()
-		eff := o.shardsPerCell()
-		open, err := o.shardSource(ctx, cache, w.Name, core.CoarsestGeometry(geos), eff)
+		open, err := o.source(ctx, cache, w.Name)
 		if err != nil {
 			return nil, err
 		}
-		return coherence.RunProtocolsShardedOpen(ctx, open, w.Procs, geos, []string{proto}, eff, false)
+		return coherence.RunProtocols(ctx, open, w.Procs, geos, []string{proto}, false)
 	})
 	if err != nil {
 		return err

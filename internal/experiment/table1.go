@@ -31,47 +31,37 @@ var table1Paper = map[string]map[int][3][3]uint64{
 var table1Schemes = []string{"ours", "eggers", "torrellas"}
 
 // classifyScheme drives one scheme's fused classifier at every block size
-// over shard-native replays of one trace (shards <= 1 is one serial pass),
-// partitioned by the coarsest geometry, and returns the scheme's (true
-// sharing, cold, false sharing) miss counts per geometry.
-func classifyScheme(ctx context.Context, scheme string, open func(int) (trace.Reader, error), procs int, geos []mem.Geometry, shards int) ([][3]uint64, error) {
-	if scheme == "ours" {
-		counts, _, err := core.FusedShardedClassify(ctx, open, procs, geos, shards)
-		out := make([][3]uint64, len(counts))
-		for i, c := range counts {
-			out[i] = [3]uint64{c.PTS, c.Cold(), c.PFS}
-		}
-		return out, err
-	}
+// over one replay of r and returns the scheme's (true sharing, cold, false
+// sharing) miss counts per geometry.
+func classifyScheme(ctx context.Context, scheme string, r trace.Reader, procs int, geos []mem.Geometry) ([][3]uint64, error) {
 	var counts []core.SharingCounts
-	var err error
-	if scheme == "eggers" {
-		counts, err = shardedSharing(ctx, open, geos, shards, func() *core.FusedEggers { return core.NewFusedEggers(procs, geos) })
-	} else {
-		counts, err = shardedSharing(ctx, open, geos, shards, func() *core.FusedTorrellas { return core.NewFusedTorrellas(procs, geos) })
+	switch scheme {
+	case "ours":
+		f := core.NewFusedClassifier(procs, geos)
+		if err := trace.DriveContext(ctx, r, f); err != nil {
+			return nil, err
+		}
+		for _, c := range f.Finish() {
+			counts = append(counts, c.Sharing())
+		}
+	case "eggers":
+		e := core.NewFusedEggers(procs, geos)
+		if err := trace.DriveContext(ctx, r, e); err != nil {
+			return nil, err
+		}
+		counts = e.Finish()
+	default:
+		t := core.NewFusedTorrellas(procs, geos)
+		if err := trace.DriveContext(ctx, r, t); err != nil {
+			return nil, err
+		}
+		counts = t.Finish()
 	}
 	out := make([][3]uint64, len(counts))
 	for i, c := range counts {
 		out[i] = [3]uint64{c.True, c.Cold, c.False}
 	}
-	return out, err
-}
-
-// shardedSharing runs one fused Eggers or Torrellas classifier per shard
-// and merges their per-geometry counts in shard order.
-func shardedSharing[C interface {
-	trace.Consumer
-	Finish() []core.SharingCounts
-}](ctx context.Context, open func(int) (trace.Reader, error), geos []mem.Geometry, shards int, newC func() C) ([]core.SharingCounts, error) {
-	return core.RunShardedOpen(ctx, open, shards, trace.BlockShard(core.CoarsestGeometry(geos), shards),
-		func(int) C { return newC() },
-		func(c C) []core.SharingCounts { return c.Finish() },
-		func(a, b []core.SharingCounts) []core.SharingCounts {
-			for i := range a {
-				a[i] = a[i].Add(b[i])
-			}
-			return a
-		})
+	return out, nil
 }
 
 // Table1 regenerates the paper's Table 1: the number of true-sharing, cold
@@ -104,22 +94,25 @@ func Table1(o Options) error {
 		geos[i] = g
 	}
 
-	// One sweep cell per (workload, scheme): one pass (per shard) over the
-	// trace drives the scheme at both block sizes. Each cell reads the
-	// trace again, which with the run-at-a-time segment decoder costs less
-	// than a core left idle while one workload's three classifiers run back
-	// to back (DESIGN.md §12).
+	// One sweep cell per (workload, scheme): one pass over the trace drives
+	// the scheme at both block sizes. Each cell reads the trace again, which
+	// with the run-at-a-time segment decoder costs less than a core left
+	// idle while one workload's three classifiers run back to back
+	// (DESIGN.md §12).
 	cache := o.traceCache()
 	nS := len(table1Schemes)
 	cells, sFails, err := mapCells(o, len(ws)*nS, func(ctx context.Context, i int) ([][3]uint64, error) {
 		w, scheme := ws[i/nS], table1Schemes[i%nS]
 		defer replaySpan(ctx, w.Name, scheme, 0).End()
-		eff := o.shardsPerCell()
-		open, err := o.shardSource(ctx, cache, w.Name, core.CoarsestGeometry(geos), eff)
+		open, err := o.source(ctx, cache, w.Name)
 		if err != nil {
 			return nil, err
 		}
-		return classifyScheme(ctx, scheme, open, w.Procs, geos, eff)
+		r, err := open()
+		if err != nil {
+			return nil, err
+		}
+		return classifyScheme(ctx, scheme, r, w.Procs, geos)
 	})
 	if err != nil {
 		return err

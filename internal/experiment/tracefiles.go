@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/mem"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
@@ -14,10 +13,9 @@ import (
 
 // TraceFileSet binds workload names to opened packed trace files (the
 // CLI's -trace-file NAME=PATH bindings). A bound workload replays from its
-// file instead of regenerating: cells that partition by cache block open
-// segment-skipping readers directly (see Options.shardSource), and every
-// other replay streams the file through the trace cache's out-of-core
-// bypass. Close the set when the run is done.
+// file instead of regenerating: the fused cells open file readers directly
+// (see Options.source), and every other replay streams the file through the
+// trace cache's out-of-core bypass. Close the set when the run is done.
 type TraceFileSet struct {
 	files map[string]*tracestore.File
 	paths map[string]string
@@ -125,8 +123,9 @@ func (s *TraceFileSet) Close() error {
 
 // register wires every bound file into the cache as a stream-only source,
 // so all the cache-fed replay paths (the finite-cache sweep and the
-// drivers that do not shard) read from the file with O(segment) resident
-// memory instead of materializing or regenerating. Safe on a nil set.
+// drivers that do not use Options.source) read from the file with
+// O(segment) resident memory instead of materializing or regenerating.
+// Safe on a nil set.
 func (s *TraceFileSet) register(c *sweep.TraceCache) {
 	if s == nil {
 		return
@@ -137,25 +136,14 @@ func (s *TraceFileSet) register(c *sweep.TraceCache) {
 	}
 }
 
-// shardSource resolves the per-shard opener the block-partitioned runners
-// (core.RunShardedOpen and everything built on it) need for one workload's
-// trace. A file-backed workload opens segment-skipping tracestore readers:
-// each shard reads only the segments whose per-segment index intersects
-// its residue class of g's block partition (plus segments carrying
-// synchronization, which every shard observes); at shards <= 1 every
-// segment is kept. Anything else adapts the cache's source factory —
-// independent equivalent readers, one per shard. g and shards must match
-// the partition key the runner uses (trace.BlockShard(g, shards)), so a
-// runner with any other key (the finite cache's set key) must not use it.
-func (o Options) shardSource(ctx context.Context, cache *sweep.TraceCache, name string, g mem.Geometry, shards int) (func(int) (trace.Reader, error), error) {
+// source resolves the reader factory a fused cell replays one workload's
+// trace from. A file-backed workload opens a reader over the whole file
+// directly, bypassing the cache, so the cell moves no cache counter;
+// anything else takes the cache's source factory (an in-memory replay or a
+// fresh generation).
+func (o Options) source(ctx context.Context, cache *sweep.TraceCache, name string) (func() (trace.Reader, error), error) {
 	if f := o.TraceFiles.File(name); f != nil {
-		return func(shard int) (trace.Reader, error) {
-			return f.ShardReaderContext(ctx, shard, shards, g), nil
-		}, nil
+		return func() (trace.Reader, error) { return f.ReaderContext(ctx), nil }, nil
 	}
-	src, err := cache.SourceContext(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	return func(int) (trace.Reader, error) { return src() }, nil
+	return cache.SourceContext(ctx, name)
 }

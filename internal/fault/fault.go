@@ -3,10 +3,9 @@
 // deterministic way — erroring after a fixed number of references,
 // corrupting reference fields, stalling mid-stream, or failing Close — so
 // the robustness suite can assert how every layer above the reader (the
-// replay pumps, the block-sharded consumers, the sweep engine, the
-// experiment drivers) reacts: typed errors propagate via errors.Is/As, no path
-// deadlocks or leaks goroutines, and partial output is never presented as
-// complete.
+// replay pumps, the sweep engine, the experiment drivers) reacts: typed
+// errors propagate via errors.Is/As, no path deadlocks or leaks goroutines,
+// and partial output is never presented as complete.
 package fault
 
 import (
@@ -19,7 +18,7 @@ import (
 )
 
 // ErrInjected is the sentinel every injected failure wraps. Tests match it
-// with errors.Is after an error has crossed the shard, sweep and driver
+// with errors.Is after an error has crossed the replay, sweep and driver
 // layers.
 var ErrInjected = errors.New("fault: injected failure")
 

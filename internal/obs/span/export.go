@@ -122,9 +122,6 @@ func (sr SpanRecord) args(mask uint8) map[string]any {
 	if mask&fCell != 0 {
 		set("cell", f.Cell)
 	}
-	if mask&fShard != 0 {
-		set("shard", f.Shard)
-	}
 	if mask&fSegment != 0 {
 		set("segment", f.Segment)
 	}

@@ -15,8 +15,8 @@ func buildSnapshot(t *testing.T) *Snapshot {
 	root := Root(OpExperiment, Fields{Note: "fig5"})
 	cell := Acquire("sweep-worker 0")
 	csp := cell.Begin(OpCell, Fields{Cell: 0})
-	work := Acquire("shard-consumer 0")
-	wsp := work.Begin(OpShardConsume, Fields{Shard: 0})
+	work := Acquire("tracestore-readahead")
+	wsp := work.Begin(OpDrive, Fields{})
 	work.Begin(OpSegmentIO, Fields{Segment: 3, Depth: 1}).End()
 	wsp.End()
 	csp.End()
@@ -66,7 +66,7 @@ func TestWriteTraceEventPerfettoShape(t *testing.T) {
 			t.Fatalf("unexpected ph %q", ph)
 		}
 	}
-	for _, want := range []string{"experiment", "sweep.cell", "shard.consume", "tracestore.segment_io"} {
+	for _, want := range []string{"experiment", "sweep.cell", "trace.drive", "tracestore.segment_io"} {
 		if !names[want] {
 			t.Fatalf("missing X event %q; have %v", want, names)
 		}
@@ -79,7 +79,7 @@ func TestWriteTraceEventPerfettoShape(t *testing.T) {
 			labels[args["name"].(string)] = true
 		}
 	}
-	for _, want := range []string{"main", "sweep-worker 0", "shard-consumer 0"} {
+	for _, want := range []string{"main", "sweep-worker 0", "tracestore-readahead"} {
 		if !labels[want] {
 			t.Fatalf("missing thread_name %q; have %v", want, labels)
 		}

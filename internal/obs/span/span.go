@@ -27,8 +27,8 @@
 //     (ring overwrites plus open-stack overflow drops) are counted and
 //     reported in the snapshot.
 //
-// Typed attributes (workload, scheme, block size, cell, shard, segment,
-// level, queue depth) ride in a fixed-size Fields struct, so recording
+// Typed attributes (workload, scheme, block size, cell, segment, level,
+// queue depth) ride in a fixed-size Fields struct, so recording
 // never formats strings on the hot path.
 package span
 
@@ -60,8 +60,6 @@ const (
 	OpReplay
 	// OpDrive is one trace.Drive pass (a full stream replay).
 	OpDrive
-	// OpShardConsume is one shard consumer's drive in a sharded run.
-	OpShardConsume
 	// OpResolve is a fused classifier's batch resolve phase.
 	OpResolve
 	// OpLevelSweep is a fused classifier's per-level batch sweep.
@@ -74,18 +72,17 @@ const (
 
 // opNames are the exported event names, stable across exporters.
 var opNames = [numOps]string{
-	opNone:         "none",
-	OpExperiment:   "experiment",
-	OpArtifact:     "regen.artifact",
-	OpPack:         "trace.pack",
-	OpCellWait:     "sweep.cell_wait",
-	OpCell:         "sweep.cell",
-	OpReplay:       "cell.replay",
-	OpDrive:        "trace.drive",
-	OpShardConsume: "shard.consume",
-	OpResolve:      "fused.resolve",
-	OpLevelSweep:   "fused.level_sweep",
-	OpSegmentIO:    "tracestore.segment_io",
+	opNone:       "none",
+	OpExperiment: "experiment",
+	OpArtifact:   "regen.artifact",
+	OpPack:       "trace.pack",
+	OpCellWait:   "sweep.cell_wait",
+	OpCell:       "sweep.cell",
+	OpReplay:     "cell.replay",
+	OpDrive:      "trace.drive",
+	OpResolve:    "fused.resolve",
+	OpLevelSweep: "fused.level_sweep",
+	OpSegmentIO:  "tracestore.segment_io",
 }
 
 // String returns the op's exported event name.
@@ -99,7 +96,7 @@ func (o Op) String() string {
 // Fields are a span's typed attributes. Unused fields stay at their zero
 // value and are omitted by the exporters; the numeric fields use -1-free
 // zero-as-absent semantics except where an op's mask (see fieldMask) says
-// the zero is meaningful (cell 0, shard 0, ...).
+// the zero is meaningful (cell 0, segment 0, ...).
 type Fields struct {
 	// Workload names the benchmark trace being replayed.
 	Workload string
@@ -111,8 +108,6 @@ type Fields struct {
 	Block int32
 	// Cell is the sweep-grid cell index.
 	Cell int32
-	// Shard is the shard index of a sharded pipeline stage.
-	Shard int32
 	// Segment is the tracestore segment index.
 	Segment int32
 	// Level is the fused classifier's internal level index.
@@ -123,24 +118,22 @@ type Fields struct {
 }
 
 // Integer-field presence masks per op: ops declare which int32 fields are
-// meaningful so exporters can emit cell=0 or shard=0 without emitting six
-// zero attributes on every span.
+// meaningful so exporters can emit cell=0 or segment=0 without emitting
+// five zero attributes on every span.
 const (
 	fBlock = 1 << iota
 	fCell
-	fShard
 	fSegment
 	fLevel
 	fDepth
 )
 
 var opFieldMask = [numOps]uint8{
-	OpCellWait:     fCell,
-	OpCell:         fCell,
-	OpReplay:       fBlock | fCell,
-	OpShardConsume: fShard,
-	OpLevelSweep:   fBlock | fLevel,
-	OpSegmentIO:    fSegment | fDepth,
+	OpCellWait:   fCell,
+	OpCell:       fCell,
+	OpReplay:     fBlock | fCell,
+	OpLevelSweep: fBlock | fLevel,
+	OpSegmentIO:  fSegment | fDepth,
 }
 
 // record is one completed span in a track's ring: fixed size, written by

@@ -103,7 +103,7 @@ func TestComparePinnedAllocsHardFail(t *testing.T) {
 // workload is not a failure.
 func TestCompareFastAndNewPass(t *testing.T) {
 	base := syntheticReport(map[string]float64{"classify/appendixA": 50e6})
-	cur := syntheticReport(map[string]float64{"classify/appendixA": 80e6, "sharded/native8": 9e6})
+	cur := syntheticReport(map[string]float64{"classify/appendixA": 80e6, "classify/new8": 9e6})
 	g, err := Compare(base, cur, DefaultTolerance())
 	if err != nil {
 		t.Fatal(err)
@@ -118,8 +118,8 @@ func TestCompareFastAndNewPass(t *testing.T) {
 	if verdicts["classify/appendixA"] != VerdictFast {
 		t.Errorf("faster workload verdict = %s, want fast", verdicts["classify/appendixA"])
 	}
-	if verdicts["sharded/native8"] != VerdictNew {
-		t.Errorf("new workload verdict = %s, want new", verdicts["sharded/native8"])
+	if verdicts["classify/new8"] != VerdictNew {
+		t.Errorf("new workload verdict = %s, want new", verdicts["classify/new8"])
 	}
 }
 

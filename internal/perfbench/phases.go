@@ -7,18 +7,17 @@ import "strings"
 // the report shape is stable across hosts and runs.
 //
 //   - generation: the synthetic workload generators (internal/workload).
-//   - replay:     reference delivery — batch pumps, slice readers, codecs
-//     and shard filters (internal/trace).
+//   - replay:     reference delivery — batch pumps, slice readers and
+//     codecs (internal/trace).
 //   - classify:   the classifiers, schedules, finite caches and their
 //     dense tables (internal/core, coherence, finite, dense, timing).
-//   - merge:      sharded-result merge and the consumer pool plumbing.
 //   - render:     table and chart rendering (internal/report).
 //   - runtime:    Go runtime work with no repro frame on the stack
 //     (GC workers, scheduler).
 //   - other:      everything else (harness overhead, experiment drivers,
 //     sweep orchestration).
 var Phases = []string{
-	"generation", "replay", "classify", "merge", "render", "runtime", "other",
+	"generation", "replay", "classify", "render", "runtime", "other",
 }
 
 // phaseRule maps a function-name fragment to a phase. Rules are checked in
@@ -28,16 +27,8 @@ type phaseRule struct {
 	phase  string
 }
 
-// phaseRules: name-based rules run before package-prefix rules so the
-// sharded merge fold (which lives in package core/coherence) attributes to
-// its own phase rather than to classify.
+// phaseRules attribute a frame by its package prefix.
 var phaseRules = []phaseRule{
-	// Sharded plumbing.
-	{"repro/internal/core.RunSharded", "merge"},
-	{"repro/internal/coherence.MergeResults", "merge"},
-	{"Merge", "merge"}, // any repro merge helper (checked against repro frames only)
-
-	// Package prefixes.
 	{"repro/internal/workload.", "generation"},
 	{"repro/internal/trace.", "replay"},
 	{"repro/internal/core.", "classify"},

@@ -12,11 +12,8 @@ func TestPhaseOfStack(t *testing.T) {
 		{"runtime leaf attributes to caller", []string{"runtime.mallocgc", "repro/internal/core.NewClassifier"}, "classify"},
 		{"memmove under dense", []string{"runtime.memmove", "repro/internal/dense.(*Map[...]).grow"}, "classify"},
 		{"generator", []string{"repro/internal/workload.(*Workload).Reader.func1"}, "generation"},
-		{"shard filter", []string{"repro/internal/trace.(*ShardReader).NextBatch"}, "replay"},
 		{"replay pump", []string{"repro/internal/trace.Drive"}, "replay"},
 		{"codec", []string{"repro/internal/trace.(*Decoder).NextBatch"}, "replay"},
-		{"sharded merge fold", []string{"repro/internal/core.RunShardedOpen[...].func2"}, "merge"},
-		{"coherence merge", []string{"repro/internal/coherence.MergeResults"}, "merge"},
 		{"schedule", []string{"repro/internal/coherence.(*min).RefBatch"}, "classify"},
 		{"finite cache", []string{"repro/internal/finite.(*Classifier).access"}, "classify"},
 		{"timing model", []string{"repro/internal/timing.(*simulator).Ref"}, "classify"},
@@ -43,7 +40,7 @@ func TestPhasesCanonicalOrder(t *testing.T) {
 		}
 		seen[ph] = true
 	}
-	for _, must := range []string{"generation", "replay", "classify", "merge", "render"} {
+	for _, must := range []string{"generation", "replay", "classify", "render"} {
 		if !seen[must] {
 			t.Fatalf("canonical phases missing %q", must)
 		}

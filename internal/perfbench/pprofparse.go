@@ -3,10 +3,10 @@
 //
 // It runs each representative workload of the replay engine (the three
 // classifiers, the seven invalidation schedules, the finite cache, the
-// shard-native sharded pipeline, workload generation and an end-to-end
-// figure sweep) under a CPU profile, decodes the pprof protobuf with a
-// hand-rolled decoder (no module dependencies), attributes the samples to
-// named phases (generation, replay, classify, merge, render), and
+// trace store, workload generation and an end-to-end figure sweep) under a
+// CPU profile, decodes the pprof protobuf with a hand-rolled decoder (no
+// module dependencies), attributes the samples to named phases
+// (generation, replay, classify, render), and
 // emits a schema-versioned machine-readable report. A committed baseline
 // report plus Compare turn every number in results/*.txt into a defended
 // floor: CI fails with a readable regression table when a change slows a

@@ -2,7 +2,6 @@ package perfbench
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -92,7 +91,7 @@ func pinnedClassifierPass(c trace.BatchConsumer, batches [][]trace.Ref, refs uin
 
 // All returns the registered workloads in report order: the three
 // classifiers (pinned zero-alloc paths), the seven invalidation schedules,
-// the finite cache, the block-sharded pipeline, raw generation, an
+// the finite cache, the fused Fig. 5 pass, raw generation, an
 // end-to-end quick figure sweep (generation + classify + render), the
 // trace-store paths (pinned segment decode, file-backed figure sweep), and
 // the pinned disabled-span path (instrumentation off must stay free).
@@ -191,23 +190,6 @@ func All() []Workload {
 				// per block size; refs/s stays comparable with the per-cell
 				// classify workloads.
 				return pinnedClassifierPass(c, chunk(tr.Refs), uint64(tr.Len())*uint64(len(geos))), nil
-			},
-		},
-		{
-			Name: "sharded/native4",
-			Setup: func() (func() (uint64, error), error) {
-				tr, err := collect(benchWorkload)
-				if err != nil {
-					return nil, err
-				}
-				geos := []mem.Geometry{g}
-				return func() (uint64, error) {
-					open := func(int) (trace.Reader, error) { return tr.Reader(), nil }
-					if _, _, err := core.FusedShardedClassify(context.Background(), open, tr.Procs, geos, 4); err != nil {
-						return 0, err
-					}
-					return uint64(tr.Len()), nil
-				}, nil
 			},
 		},
 		{

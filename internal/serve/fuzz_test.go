@@ -86,8 +86,8 @@ func FuzzJobSpec(f *testing.F) {
 				t.Errorf("accepted protocol %q: %v", name, err)
 			}
 		}
-		if spec.Parallelism < 0 || spec.Parallelism > maxPar || spec.Shards < 0 || spec.Shards > maxPar {
-			t.Errorf("accepted parallelism %d / shards %d outside [0, %d]", spec.Parallelism, spec.Shards, maxPar)
+		if spec.Parallelism < 0 || spec.Parallelism > maxPar {
+			t.Errorf("accepted parallelism %d outside [0, %d]", spec.Parallelism, maxPar)
 		}
 		if spec.TimeoutMs < 0 {
 			t.Errorf("accepted negative timeout_ms %d", spec.TimeoutMs)

@@ -46,9 +46,6 @@ type JobSpec struct {
 	// Parallelism bounds the sweep worker pool (the CLI's -j); clamped
 	// to the server's MaxParallelism.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Shards block-shards each cell (the CLI's -shards); clamped to the
-	// server's MaxParallelism.
-	Shards int `json:"shards,omitempty"`
 	// TimeoutMs caps the job's run time in milliseconds; 0 takes the
 	// server default, and the server's MaxJobTimeout caps it either way.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
@@ -73,8 +70,8 @@ func (s *JobSpec) validate(maxPar int, hasTrace bool) *JobError {
 	if s.Experiment == "" {
 		return reject(CodeBadRequest, "spec missing experiment")
 	}
-	if s.Block < 0 || s.Parallelism < 0 || s.Shards < 0 || s.TimeoutMs < 0 {
-		return reject(CodeBadRequest, "negative block/parallelism/shards/timeout")
+	if s.Block < 0 || s.Parallelism < 0 || s.TimeoutMs < 0 {
+		return reject(CodeBadRequest, "negative block/parallelism/timeout")
 	}
 	// Check block sizes now: one no geometry accepts would otherwise fail
 	// inside the driver, after queueing, as an internal error. Block 0
@@ -90,9 +87,6 @@ func (s *JobSpec) validate(maxPar int, hasTrace bool) *JobError {
 	}
 	if s.Parallelism > maxPar {
 		s.Parallelism = maxPar
-	}
-	if s.Shards > maxPar {
-		s.Shards = maxPar
 	}
 	if s.Experiment == "classify" {
 		if s.Workload == "" && !hasTrace {

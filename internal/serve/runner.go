@@ -55,7 +55,6 @@ func (s *Server) run(ctx context.Context, j *job) (err error) {
 		Protocols:   j.spec.Protocols,
 		Blocks:      j.spec.Blocks,
 		Parallelism: j.spec.Parallelism,
-		Shards:      j.spec.Shards,
 		Ctx:         ctx,
 		Cache:       s.cache,
 	}

@@ -51,7 +51,7 @@ type Config struct {
 	RetryAfter time.Duration
 	// MaxBodyBytes bounds an uploaded trace body.
 	MaxBodyBytes int64
-	// MaxParallelism clamps a spec's parallelism and shards.
+	// MaxParallelism clamps a spec's parallelism.
 	MaxParallelism int
 
 	// wrap, when non-nil, wraps the trace reader a classify or upload job

@@ -217,6 +217,7 @@ var badSpecs = []struct {
 }{
 	{"bad json", `{"experiment":`, http.StatusBadRequest, CodeBadRequest},
 	{"unknown field", `{"experiment":"classify","workload":"LU32","bogus":1}`, http.StatusBadRequest, CodeBadRequest},
+	{"retired shards field", `{"experiment":"fig5","workloads":["LU32"],"shards":8}`, http.StatusBadRequest, CodeBadRequest},
 	{"missing experiment", `{}`, http.StatusBadRequest, CodeBadRequest},
 	{"classify without workload", `{"experiment":"classify"}`, http.StatusBadRequest, CodeBadRequest},
 	{"bad scheme", `{"experiment":"classify","workload":"LU32","scheme":"theirs"}`, http.StatusBadRequest, CodeBadRequest},

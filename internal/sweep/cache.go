@@ -142,8 +142,7 @@ func (c *TraceCache) Source(name string) (func() (trace.Reader, error), error) {
 // copy when the trace fits the budget, fresh streams from the Opener
 // otherwise. The cache counts one event (hit, miss, or streamed) per
 // SourceContext call no matter how many readers the factory opens, so the
-// shard-native pipelines that open one reader per shard observe the same
-// deterministic cache metrics as a single serial replay.
+// cache metrics count resolutions, not replays.
 func (c *TraceCache) SourceContext(ctx context.Context, name string) (func() (trace.Reader, error), error) {
 	c.mu.Lock()
 	e, ok := c.entries[name]

@@ -167,8 +167,7 @@ func TestTraceCacheOpenerError(t *testing.T) {
 
 // TestTraceCacheSourceCountsOnce: a Source call resolves the trace and
 // counts exactly one cache event, however many readers its factory opens —
-// the contract that keeps cache metrics shard-invariant on the shard-native
-// fused path.
+// the contract that makes the cache metrics count resolutions, not replays.
 func TestTraceCacheSourceCountsOnce(t *testing.T) {
 	var calls atomic.Int64
 	tr := testTrace(4, 6)

@@ -2,8 +2,8 @@ package trace
 
 // Cancellation tests for the replay pump: the allocation pin promised by
 // DriveContext's doc comment, and a pre-canceled collect. The
-// cancel-mid-replay race suite over sharded pipelines lives in
-// shardopen_test.go.
+// cancel-mid-replay race suite over packed-trace readers lives in
+// teardown_test.go.
 
 import (
 	"context"

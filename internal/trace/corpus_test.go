@@ -109,27 +109,18 @@ func seedCorpora(t testing.TB) map[string][]string {
 			corpusEntry(bytes.Repeat([]byte{1, 3, 255}, 32), uint8(0)),
 			corpusEntry([]byte{}, uint8(255)),
 		},
-		// FuzzShardedEquivalence (external test package, sharded_fuzz_test.go)
-		// decodes 3-byte records (kind, proc, addr) into mixed data/sync/phase
-		// traces; the extra bytes pick the processor count/geometry and the
-		// shard count.
-		"FuzzShardedEquivalence": {
-			corpusEntry([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8}, uint8(3), uint8(2)),
-			corpusEntry([]byte{5, 0, 9, 0, 1, 9, 6, 0, 9}, uint8(1), uint8(7)), // acquire/store/release on one word
-			corpusEntry([]byte{}, uint8(0), uint8(0)),
-			corpusEntry(bytes.Repeat([]byte{3, 1, 8, 0, 2, 8, 7, 0, 0}, 16), uint8(5), uint8(63)), // contended block with phases
-			corpusEntry([]byte{3, 0, 0, 0, 1, 0, 3, 1, 0, 0, 0, 0}, uint8(0), uint8(8)),           // ping-pong on one block
-		},
 		// FuzzFusedEquivalence (external test package, fused_fuzz_test.go)
-		// decodes the same 3-byte records; geoRaw's low six bits select the
-		// nested geometry set (4..128-byte blocks) and bit 6 duplicates a
-		// level, so the hierarchical fused state sees every nesting shape.
+		// decodes 3-byte records (kind, proc, addr) into mixed
+		// data/sync/phase traces; the first extra byte picks the processor
+		// count, and geoRaw's low six bits select the nested geometry set
+		// (4..128-byte blocks) while bit 6 duplicates a level, so the
+		// hierarchical fused state sees every nesting shape.
 		"FuzzFusedEquivalence": {
-			corpusEntry([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8}, uint8(3), uint8(0b1011), uint8(2)),
-			corpusEntry([]byte{5, 0, 9, 0, 1, 9, 6, 0, 9}, uint8(1), uint8(0b100001), uint8(7)), // finest+coarsest only
-			corpusEntry([]byte{}, uint8(0), uint8(0), uint8(0)),
-			corpusEntry(bytes.Repeat([]byte{3, 1, 8, 0, 2, 8, 7, 0, 0}, 16), uint8(5), uint8(0b1111111), uint8(63)), // all levels + duplicate
-			corpusEntry([]byte{3, 0, 0, 0, 1, 0, 3, 1, 0, 0, 0, 0}, uint8(0), uint8(0b100), uint8(8)),               // ping-pong, single level
+			corpusEntry([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8}, uint8(3), uint8(0b1011)),
+			corpusEntry([]byte{5, 0, 9, 0, 1, 9, 6, 0, 9}, uint8(1), uint8(0b100001)), // finest+coarsest only
+			corpusEntry([]byte{}, uint8(0), uint8(0)),
+			corpusEntry(bytes.Repeat([]byte{3, 1, 8, 0, 2, 8, 7, 0, 0}, 16), uint8(5), uint8(0b1111111)), // all levels + duplicate
+			corpusEntry([]byte{3, 0, 0, 0, 1, 0, 3, 1, 0, 0, 0, 0}, uint8(0), uint8(0b100)),              // ping-pong, single level
 		},
 	}
 }

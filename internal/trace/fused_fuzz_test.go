@@ -1,7 +1,6 @@
 package trace_test
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -13,17 +12,17 @@ import (
 // the per-geometry classifiers: arbitrary byte strings become mixed
 // data/sync/phase traces, geoRaw picks an arbitrary nested geometry set
 // (possibly unsorted, possibly with a duplicate level) so the hierarchical
-// block-nesting state is exercised at every shape, and the fused pass —
-// serial and shard-native — must match a fresh per-geometry replay bit for
-// bit for all three schemes. Lives in the external test package for the
-// same reason as FuzzShardedEquivalence; the committed seed corpus under
+// block-nesting state is exercised at every shape, and the fused pass must
+// match a fresh per-geometry replay bit for bit for all three schemes.
+// Lives in the external test package because it imports core, which
+// imports trace; the committed seed corpus under
 // testdata/fuzz/FuzzFusedEquivalence is pinned by TestFuzzSeedCorpora.
 func FuzzFusedEquivalence(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8}, uint8(3), uint8(0b1011), uint8(2))
-	f.Add([]byte{5, 0, 9, 0, 1, 9, 6, 0, 9}, uint8(1), uint8(0b100001), uint8(7))
-	f.Add([]byte{}, uint8(0), uint8(0), uint8(0))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8}, uint8(3), uint8(0b1011))
+	f.Add([]byte{5, 0, 9, 0, 1, 9, 6, 0, 9}, uint8(1), uint8(0b100001))
+	f.Add([]byte{}, uint8(0), uint8(0))
 
-	f.Fuzz(func(t *testing.T, data []byte, procsRaw, geoRaw, shardsRaw uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, procsRaw, geoRaw uint8) {
 		procs := int(procsRaw%6) + 2
 		tr := trace.New(procs)
 		for i := 0; i+2 < len(data); i += 3 {
@@ -96,23 +95,6 @@ func FuzzFusedEquivalence(f *testing.F) {
 			}
 			if fusedT[gi] != wantT {
 				t.Fatalf("torrellas %v: fused %+v, per-cell %+v", g, fusedT[gi], wantT)
-			}
-		}
-
-		// Shard-native fused streams must merge to the serial fused counts.
-		open := func(int) (trace.Reader, error) { return tr.Reader(), nil }
-		for _, n := range []int{2, int(shardsRaw%9) + 1} {
-			got, gotRefs, err := core.FusedShardedClassify(context.Background(), open, procs, geos, n)
-			if err != nil {
-				t.Fatalf("fused shards=%d: %v", n, err)
-			}
-			if gotRefs != refs {
-				t.Fatalf("fused shards=%d: %d refs, want %d", n, gotRefs, refs)
-			}
-			for gi := range geos {
-				if got[gi] != fused[gi] {
-					t.Fatalf("fused shards=%d %v: got %+v, want %+v", n, geos[gi], got[gi], fused[gi])
-				}
 			}
 		}
 	})

@@ -31,7 +31,7 @@ func CloseReader(r Reader) error {
 // BatchReader is a Reader that can deliver references many at a time,
 // amortizing the per-reference interface dispatch of Next over whole
 // batches. The in-memory trace reader, the workload generators, the binary
-// decoder and the shard readers all implement it; Drive uses it when
+// decoder and the packed-trace reader all implement it; Drive uses it when
 // available.
 type BatchReader interface {
 	Reader
@@ -43,7 +43,7 @@ type BatchReader interface {
 	NextBatch(buf []Ref) (n int, err error)
 }
 
-// driveBatch is the reference-batch size used by Drive and the shard readers.
+// driveBatch is the reference-batch size used by Drive and Collect.
 // Large enough to amortize dispatch, small enough that a batch of 16-byte
 // refs stays well inside the L1 cache.
 const driveBatch = 1024
@@ -278,10 +278,10 @@ func DriveContext(ctx context.Context, r Reader, consumers ...Consumer) (err err
 		}
 	}()
 	// When a span track rides on the context (installed by the sweep worker
-	// or shard-consumer goroutine that owns this drive), record the whole
-	// drive as one span and hand the track to consumers that want to emit
-	// their own sub-spans (the fused classifiers). Disabled tracing takes
-	// the nil-track path: one atomic load, no allocation.
+	// that owns this drive), record the whole drive as one span and hand
+	// the track to consumers that want to emit their own sub-spans (the
+	// fused classifiers). Disabled tracing takes the nil-track path: one
+	// atomic load, no allocation.
 	if tr := span.FromContext(ctx); tr != nil {
 		defer tr.Begin(span.OpDrive, span.Fields{}).End()
 		for _, c := range consumers {

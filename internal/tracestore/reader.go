@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/mem"
 	"repro/internal/obs/span"
 	"repro/internal/trace"
 )
@@ -27,12 +26,11 @@ type segResult struct {
 // memory bounded by O(segment × (readahead+2)): a decode worker reads and
 // decodes segments in order into a fixed pool of recycled buffers while
 // NextBatch drains the current one. It implements io.Closer; Close stops
-// the worker, waits for it to exit (no leaked decoders on early shard
+// the worker, waits for it to exit (no leaked decoders on an early
 // close), and propagates the file close error when the Reader owns the
 // file.
 type Reader struct {
 	f        *File
-	segs     []int // segment indices to decode, in order
 	ownsFile bool
 
 	stop    chan struct{}
@@ -57,25 +55,21 @@ func (f *File) Reader() *Reader {
 // stops the decode worker and surfaces ctx.Err() from NextBatch within one
 // segment.
 func (f *File) ReaderContext(ctx context.Context) *Reader {
-	return f.newReader(ctx, allSegments(len(f.toc)), false)
-}
-
-// ShardReaderContext replays only the segments that can matter to one
-// shard of the canonical block partition: segments whose address range
-// intersects the shard's residue class (SegmentInfo.HasBlockShard) or that
-// carry synchronization/phase records, which every shard must observe.
-// The stream still contains other shards' data references from kept
-// segments; callers wrap it in trace.NewShardReader for exact filtering —
-// the skip is transparent because a skipped segment has no references the
-// filter would keep.
-func (f *File) ShardReaderContext(ctx context.Context, shard, shards int, g mem.Geometry) *Reader {
-	segs := make([]int, 0, len(f.toc))
-	for i, s := range f.toc {
-		if s.SideRefs > 0 || s.HasBlockShard(g, shard, shards) {
-			segs = append(segs, i)
-		}
+	bufs := defaultReadahead + 1
+	r := &Reader{
+		f:    f,
+		stop: make(chan struct{}),
+		free: make(chan []trace.Ref, bufs),
+		// One slot per buffer plus one for a buffer-less error result, so
+		// worker sends can never block and Close never deadlocks.
+		results: make(chan segResult, bufs+1),
 	}
-	return f.newReader(ctx, segs, false)
+	for i := 0; i < bufs; i++ {
+		r.free <- nil
+	}
+	r.wg.Add(1)
+	go r.run(ctx)
+	return r
 }
 
 // OpenReader opens path and returns a Reader over the whole file that owns
@@ -95,36 +89,8 @@ func OpenReaderContext(ctx context.Context, path string) (*Reader, error) {
 	return r, nil
 }
 
-func allSegments(n int) []int {
-	segs := make([]int, n)
-	for i := range segs {
-		segs[i] = i
-	}
-	return segs
-}
-
-func (f *File) newReader(ctx context.Context, segs []int, ownsFile bool) *Reader {
-	bufs := defaultReadahead + 1
-	r := &Reader{
-		f:        f,
-		segs:     segs,
-		ownsFile: ownsFile,
-		stop:     make(chan struct{}),
-		free:     make(chan []trace.Ref, bufs),
-		// One slot per buffer plus one for a buffer-less error result, so
-		// worker sends can never block and Close never deadlocks.
-		results: make(chan segResult, bufs+1),
-	}
-	for i := 0; i < bufs; i++ {
-		r.free <- nil
-	}
-	r.wg.Add(1)
-	go r.run(ctx)
-	return r
-}
-
 // run is the decode worker: it recycles buffers from free, decodes the
-// next scheduled segment into one, and ships it to NextBatch. Every
+// next segment into one, and ships it to NextBatch. Every
 // blocking point also watches stop and ctx so an early Close or a
 // canceled context terminates the goroutine promptly.
 func (r *Reader) run(ctx context.Context) {
@@ -138,7 +104,7 @@ func (r *Reader) run(ctx context.Context) {
 	tr := span.Acquire("tracestore-readahead")
 	defer span.Release(tr)
 	cur := r.f.Cursor()
-	for _, i := range r.segs {
+	for i := range r.f.toc {
 		var buf []trace.Ref
 		select {
 		case buf = <-r.free:
@@ -190,7 +156,7 @@ func (r *Reader) Next() (trace.Ref, error) {
 
 // NextBatch implements trace.BatchReader: it copies from the current
 // decoded segment, fetching the next one from the worker when the current
-// drains. Errors (including io.EOF at end of schedule) are sticky.
+// drains. Errors (including io.EOF at end of file) are sticky.
 func (r *Reader) NextBatch(buf []trace.Ref) (int, error) {
 	if r.err != nil {
 		return 0, r.err

@@ -92,9 +92,9 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("tracestore: %s: %w", fmt.Sprintf(format, args...), ErrCorrupt)
 }
 
-// SegmentInfo is one segment's index entry: everything the replay scheduler
-// needs to decide whether (and where) to read the segment, without touching
-// its bytes.
+// SegmentInfo is one segment's index entry: everything a reader needs to
+// locate and check the segment, and what 'trace info' reports about it,
+// without touching its bytes.
 type SegmentInfo struct {
 	// Offset is the payload's byte offset from the start of the file.
 	Offset int64
@@ -111,32 +111,6 @@ type SegmentInfo struct {
 	MinAddr, MaxAddr mem.Addr
 	// CRC is the IEEE CRC-32 of the payload bytes.
 	CRC uint32
-}
-
-// HasBlockShard reports whether the segment can contain a data reference
-// routed to the given shard by the canonical block partitioner
-// (trace.BlockShard: block % shards). The test is exact, not heuristic: a
-// residue class s intersects the segment's block range [BlockOf(MinAddr),
-// BlockOf(MaxAddr)] iff the range spans at least shards blocks or one of
-// its (at most shards) blocks has that residue. Segments with no data
-// references never match.
-func (s SegmentInfo) HasBlockShard(g mem.Geometry, shard, shards int) bool {
-	if s.DataRefs == 0 {
-		return false
-	}
-	if shards <= 1 {
-		return true
-	}
-	lo, hi := uint64(g.BlockOf(s.MinAddr)), uint64(g.BlockOf(s.MaxAddr))
-	if hi-lo+1 >= uint64(shards) {
-		return true
-	}
-	for b := lo; b <= hi; b++ {
-		if b%uint64(shards) == uint64(shard) {
-			return true
-		}
-	}
-	return false
 }
 
 // addrOf narrows a decoded uvarint to the memory package's address type.

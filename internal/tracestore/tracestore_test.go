@@ -252,59 +252,6 @@ func TestSegmentIndexStats(t *testing.T) {
 	}
 }
 
-// TestHasBlockShardExact cross-checks the residue-class intersection test
-// against brute force over the segment's block range.
-func TestHasBlockShardExact(t *testing.T) {
-	g := mem.MustGeometry(16)
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 2000; trial++ {
-		lo := mem.Addr(rng.Intn(4096))
-		hi := lo + mem.Addr(rng.Intn(512))
-		s := SegmentInfo{DataRefs: 1, MinAddr: lo, MaxAddr: hi}
-		shards := 1 + rng.Intn(8)
-		shard := rng.Intn(shards)
-		want := false
-		for b := uint64(g.BlockOf(lo)); b <= uint64(g.BlockOf(hi)); b++ {
-			if b%uint64(shards) == uint64(shard) {
-				want = true
-				break
-			}
-		}
-		if got := s.HasBlockShard(g, shard, shards); got != want {
-			t.Fatalf("HasBlockShard([%d,%d], %d/%d) = %v, want %v", lo, hi, shard, shards, got, want)
-		}
-	}
-	empty := SegmentInfo{}
-	if empty.HasBlockShard(g, 0, 4) {
-		t.Error("segment with no data refs must never match a shard")
-	}
-}
-
-// TestShardReaderSkipEquivalence proves segment skipping is transparent:
-// for every shard, the skipping reader wrapped in the exact filter yields
-// the same stream as the exact filter over a full reader.
-func TestShardReaderSkipEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	tr := randomTrace(rng, 4, 3000)
-	g := mem.MustGeometry(64)
-	f := reopen(t, packBytes(t, tr, WriterOptions{SegmentRefs: 32}))
-	const shards = 8
-	for shard := 0; shard < shards; shard++ {
-		key := trace.BlockShard(g, shards)
-		want := drain(t, trace.NewShardReader(f.Reader(), shard, key))
-		r := f.ShardReaderContext(context.Background(), shard, shards, g)
-		got := drain(t, trace.NewShardReader(r, shard, key))
-		if len(got) != len(want) {
-			t.Fatalf("shard %d: %d refs with skipping, %d without", shard, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("shard %d ref %d: got %v, want %v", shard, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // failAfterWriter fails every Write once n bytes have passed.
 type failAfterWriter struct {
 	n   int
