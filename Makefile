@@ -69,14 +69,18 @@ trace-check:
 		-run 'TestTraceOutPerfettoValid|TestTraceOutGoldenMatrix'
 
 # The failure-model suite under the race detector: the fault injectors
-# (internal/fault) at -j 1 and -j 8, plus the packed-trace replay's
-# cancellation race and failing-reader teardown tests and the codec
-# corruption tests — typed errors must propagate, nothing may deadlock or
-# leak, and partial output must never pass as complete.
+# (internal/fault) at -j 1 and -j 8, the replay's cancellation race and
+# failing-reader teardown tests, and the packed trace store's corruption
+# suite (truncations, bit flips, hostile TOCs and headers, malformed
+# segments) — typed errors must propagate, nothing may deadlock or leak,
+# corrupt bytes must never decode, and partial output must never pass as
+# complete.
 faults:
 	$(GO) test -race -count=1 ./internal/fault
 	$(GO) test -race -count=1 ./internal/trace \
-		-run 'TestCancelMidReplayRace|TestShardedOpenFailureNoLeak|TestStallDrainsOnCancel|TestCorrupt|TestV1Stream|TestDriveContextAllocs'
+		-run 'TestCancelMidReplayRace|TestShardedOpenFailureNoLeak|TestStallDrainsOnCancel|TestDriveContextAllocs'
+	$(GO) test -race -count=1 ./internal/tracestore \
+		-run 'TestTruncation|TestBitFlips|TestOpenBoundsHostileTOCAllocation|TestOpenRejectsBadHeader|TestDecodeSegmentRejectsMalformed'
 	$(GO) test -race -count=1 ./cmd/uselessmiss \
 		-run 'TestExitCode|TestTimeoutExpires|TestManifest|TestRegenResumeWithoutManifest'
 
@@ -105,7 +109,6 @@ cover:
 # the default, the engine stalls at 0 execs/s for seconds at a time while
 # it minimizes each new interesting input.
 fuzz:
-	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDecoder -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzParseText -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzClassifierRobustness -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzFusedEquivalence -fuzztime $(FUZZTIME) -fuzzminimizetime 1s

@@ -124,17 +124,17 @@ func TestHeadlineMAXBlowupOnLU(t *testing.T) {
 func TestFacadeTraceRoundTrip(t *testing.T) {
 	tr := NewTrace(2, L(0, 1), S(1, 2), A(0, 9), R(0, 9))
 	var bin, txt bytes.Buffer
-	if err := WriteBinary(&bin, tr.Reader()); err != nil {
+	if err := Pack(&bin, tr.Reader()); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteText(&txt, tr.Reader()); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := NewDecoder(&bin)
+	packed, err := OpenPacked(bytes.NewReader(bin.Bytes()), int64(bin.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromBin, err := Collect(dec)
+	fromBin, err := Collect(packed)
 	if err != nil {
 		t.Fatal(err)
 	}

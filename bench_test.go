@@ -2,15 +2,14 @@ package uselessmiss
 
 // The benchmark harness: one testing.B benchmark per paper artifact
 // (Tables 1-2, Fig. 5, Fig. 6a/6b, the §7 large-set study) plus component
-// microbenchmarks for the classifiers, the protocol simulators, the
-// workload generators and the trace codecs. Each experiment benchmark runs
+// microbenchmarks for the classifiers, the protocol simulators and the
+// workload generators. Each experiment benchmark runs
 // the same code path as the corresponding `uselessmiss` subcommand; the
 // large-set benchmark uses proportionally scaled-down runs so a benchmark
 // iteration stays in seconds (the full-size runs are driven by
 // `uselessmiss table1` / `uselessmiss large`).
 
 import (
-	"bytes"
 	"io"
 	"sync"
 	"testing"
@@ -236,40 +235,6 @@ func BenchmarkGenerate(b *testing.B) {
 			}
 		})
 	}
-}
-
-func BenchmarkBinaryCodec(b *testing.B) {
-	tr := benchTrace()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr.Reader()); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	b.Run("encode", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			var out bytes.Buffer
-			out.Grow(len(data))
-			if err := WriteBinary(&out, tr.Reader()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			dec, err := NewDecoder(bytes.NewReader(data))
-			if err != nil {
-				b.Fatal(err)
-			}
-			for {
-				if _, err := dec.Next(); err != nil {
-					break
-				}
-			}
-		}
-	})
 }
 
 // BenchmarkObsOverhead measures the instrumentation layer's cost on the

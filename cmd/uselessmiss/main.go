@@ -29,9 +29,7 @@
 //	protocols  run protocol simulators over one workload or trace file
 //	serve      long-running classification service (HTTP job API)
 //	load       seeded open-loop load generator against a running server
-//	trace      packed trace-store tooling: pack, info, cat
-//	tracegen   write a workload's trace to a file (v2 stream codec)
-//	traceinfo  summarize a trace file
+//	trace      packed trace files: pack a workload, info, cat as text
 //
 // Run 'uselessmiss <subcommand> -h' for the flags of each subcommand.
 //

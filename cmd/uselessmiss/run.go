@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,7 +33,7 @@ func run(args []string, out io.Writer) error {
 // context.Canceled (or DeadlineExceeded) to the caller.
 func runContext(ctx context.Context, args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("missing subcommand (try 'list', 'table1', 'table2', 'fig5', 'fig6', 'large', 'traffic', 'finite', 'ablate', 'compare', 'penalty', 'hotspots', 'phases', 'bench', 'regen', 'selfcheck', 'classify', 'protocols', 'serve', 'load', 'trace', 'tracegen', 'traceinfo')")
+		return fmt.Errorf("missing subcommand (try 'list', 'table1', 'table2', 'fig5', 'fig6', 'large', 'traffic', 'finite', 'ablate', 'compare', 'penalty', 'hotspots', 'phases', 'bench', 'regen', 'selfcheck', 'classify', 'protocols', 'serve', 'load', 'trace')")
 	}
 	cmd, rest := args[0], args[1:]
 	switch cmd {
@@ -80,10 +79,6 @@ func runContext(ctx context.Context, args []string, out io.Writer) error {
 		return cmdProtocols(ctx, rest, out)
 	case "trace":
 		return cmdTrace(ctx, rest, out)
-	case "tracegen":
-		return cmdTracegen(rest, out)
-	case "traceinfo":
-		return cmdTraceinfo(ctx, rest, out)
 	default:
 		return fmt.Errorf("unknown subcommand %q", cmd)
 	}
@@ -397,9 +392,8 @@ func cmdFig6(ctx context.Context, args []string, out io.Writer) error {
 	return ef.around(func() error { return experiment.Fig6(o, *block) })
 }
 
-// openTrace returns a reader for either a named workload or a trace file.
-// Files are sniffed by magic: packed trace-store files (see 'trace pack')
-// replay out-of-core; anything else decodes as the v2 stream codec.
+// openTrace returns a reader for either a named workload or a packed trace
+// file (see 'trace pack'), which replays out-of-core.
 func openTrace(workloadName, file string) (trace.Reader, error) {
 	switch {
 	case workloadName != "" && file != "":
@@ -411,54 +405,16 @@ func openTrace(workloadName, file string) (trace.Reader, error) {
 		}
 		return w.Reader(), nil
 	case file != "":
-		packed, err := isPackedTrace(file)
-		if err != nil {
-			return nil, err
-		}
-		if packed {
-			return tracestore.OpenReader(file)
-		}
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, err
-		}
-		dec, err := trace.NewDecoder(f)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		return &closingReader{Decoder: dec, c: f}, nil
+		return tracestore.OpenReader(file)
 	default:
 		return nil, fmt.Errorf("need -workload NAME or -trace FILE")
 	}
 }
 
-// isPackedTrace reports whether the file starts with the trace-store magic.
-func isPackedTrace(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	var magic [len(tracestore.Magic)]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return false, nil // shorter than any valid packed file: let the codec report it
-	}
-	return string(magic[:]) == tracestore.Magic, nil
-}
-
-// closingReader closes the underlying file when the stream is closed.
-type closingReader struct {
-	*trace.Decoder
-	c io.Closer
-}
-
-func (r *closingReader) Close() error { return r.c.Close() }
-
 func cmdClassify(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("classify", flag.ContinueOnError)
 	workloadName := fs.String("workload", "", "workload name (see 'list')")
-	file := fs.String("trace", "", "binary trace file (alternative to -workload)")
+	file := fs.String("trace", "", "packed trace file (see 'trace pack'; alternative to -workload)")
 	block := fs.Int("block", 64, "block size in bytes")
 	scheme := fs.String("scheme", "all", "classification scheme: ours, eggers, torrellas or all")
 	if err := fs.Parse(args); err != nil {
@@ -476,7 +432,7 @@ func pctf(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
 func cmdProtocols(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("protocols", flag.ContinueOnError)
 	workloadName := fs.String("workload", "", "workload name (see 'list')")
-	file := fs.String("trace", "", "binary trace file (alternative to -workload)")
+	file := fs.String("trace", "", "packed trace file (see 'trace pack'; alternative to -workload)")
 	block := fs.Int("block", 64, "block size in bytes")
 	protocols := fs.String("protocols", "", "comma-separated protocol subset (default all)")
 	if err := fs.Parse(args); err != nil {
@@ -519,82 +475,6 @@ func cmdProtocols(ctx context.Context, args []string, out io.Writer) error {
 			pctf(core.Rate(c.PFS, res.DataRefs)),
 			res.Invalidations, res.Upgrades, res.WriteThroughs)
 	}
-	tb.Fprint(out)
-	return nil
-}
-
-func cmdTracegen(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
-	workloadName := fs.String("workload", "", "workload name (see 'list')")
-	output := fs.String("o", "", "output file (required)")
-	format := fs.String("format", "binary", "output format: binary or text")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *workloadName == "" || *output == "" {
-		return fmt.Errorf("tracegen needs -workload and -o")
-	}
-	w, err := workload.Get(*workloadName)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(*output)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	switch *format {
-	case "binary":
-		err = trace.WriteBinary(f, w.Reader())
-	case "text":
-		err = trace.WriteText(f, w.Reader())
-	default:
-		return fmt.Errorf("unknown format %q", *format)
-	}
-	if err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	info, err := os.Stat(*output)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s (%d bytes)\n", *output, info.Size())
-	return nil
-}
-
-func cmdTraceinfo(ctx context.Context, args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("traceinfo", flag.ContinueOnError)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("traceinfo needs exactly one trace file argument")
-	}
-	f, err := os.Open(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	dec, err := trace.NewDecoder(f)
-	if err != nil {
-		return err
-	}
-	s := trace.NewStats(dec.NumProcs(), true)
-	if err := trace.DriveContext(ctx, dec, s); err != nil {
-		return err
-	}
-	tb := report.NewTable("property", "value")
-	tb.Rowf("processors", dec.NumProcs())
-	tb.Rowf("loads", s.Loads)
-	tb.Rowf("stores", s.Stores)
-	tb.Rowf("acquires", s.Acquires)
-	tb.Rowf("releases", s.Releases)
-	tb.Rowf("data refs", s.DataRefs())
-	tb.Rowf("data set bytes", s.DataSetBytes())
-	tb.Rowf("modeled speedup", fmt.Sprintf("%.1f", s.Speedup()))
 	tb.Fprint(out)
 	return nil
 }

@@ -12,8 +12,12 @@ func TestRunDispatch(t *testing.T) {
 	if err := run(nil, &sb); err == nil {
 		t.Error("missing subcommand accepted")
 	}
-	if err := run([]string{"nope"}, &sb); err == nil {
-		t.Error("unknown subcommand accepted")
+	// tracegen and traceinfo went with the stream codec.
+	for _, cmd := range []string{"nope", "tracegen", "traceinfo"} {
+		err := run([]string{cmd}, &sb)
+		if err == nil || !strings.Contains(err.Error(), "unknown subcommand") || exitCode(err) != exitErr {
+			t.Errorf("%s: err = %v, want an unknown subcommand (exit %d)", cmd, err, exitErr)
+		}
 	}
 }
 
@@ -94,25 +98,29 @@ func TestProtocolsUnknownProtocol(t *testing.T) {
 	}
 }
 
+// TestTracegenAndTraceinfoAndFileClassify keeps the name it had when
+// tracegen and traceinfo wrote and summarized a stream-codec file: a
+// trace packed with 'trace pack' is summarized by 'trace info' and
+// classifies like the workload it came from.
 func TestTracegenAndTraceinfoAndFileClassify(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "lu32.trace")
+	path := filepath.Join(dir, "lu32.umt")
 	var sb strings.Builder
-	if err := run([]string{"tracegen", "-workload", "LU32", "-o", path}, &sb); err != nil {
+	if err := run([]string{"trace", "pack", "-workload", "LU32", "-o", path}, &sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "wrote") {
-		t.Errorf("tracegen output: %s", sb.String())
+	if !strings.Contains(sb.String(), "packed LU32") {
+		t.Errorf("trace pack output: %s", sb.String())
 	}
 
 	sb.Reset()
-	if err := run([]string{"traceinfo", path}, &sb); err != nil {
+	if err := run([]string{"trace", "info", path}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"processors", "16", "loads", "stores", "speedup"} {
+	for _, want := range []string{"processors", "16", "data refs", "side refs", "toc sha256"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("traceinfo missing %q:\n%s", want, out)
+			t.Errorf("trace info missing %q:\n%s", want, out)
 		}
 	}
 
@@ -140,27 +148,42 @@ func TestTracegenAndTraceinfoAndFileClassify(t *testing.T) {
 	}
 }
 
+// TestTracegenTextFormat keeps the name it had when tracegen wrote text:
+// 'trace cat' prints a packed file as text, needs -o, and has no -format.
 func TestTracegenTextFormat(t *testing.T) {
 	dir := t.TempDir()
+	packed := filepath.Join(dir, "lu32.umt")
 	path := filepath.Join(dir, "t.txt")
 	var sb strings.Builder
-	if err := run([]string{"tracegen", "-workload", "LU32", "-o", path, "-format", "text"}, &sb); err != nil {
+	if err := run([]string{"trace", "pack", "-workload", "LU32", "-o", packed}, &sb); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"tracegen", "-workload", "LU32", "-o", path, "-format", "bogus"}, &sb); err == nil {
-		t.Error("bad format accepted")
+	if err := run([]string{"trace", "cat", "-o", path, packed}, &sb); err != nil {
+		t.Fatal(err)
 	}
-	if err := run([]string{"tracegen", "-workload", "LU32"}, &sb); err == nil {
+	text, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(text), "procs 16\nP0 LD 0\n") {
+		t.Errorf("trace cat output starts %q, want the text format", text[:min(len(text), 40)])
+	}
+	if err := run([]string{"trace", "cat", packed}, &sb); err == nil {
 		t.Error("missing -o accepted")
+	}
+	if err := run([]string{"trace", "cat", "-o", path, "-format", "text", packed}, &sb); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -format") {
+		t.Errorf("trace cat -format: err = %v, want a flag error", err)
 	}
 }
 
+// TestTraceinfoErrors keeps the name it had for traceinfo: 'trace info'
+// needs a file, and an existing one.
 func TestTraceinfoErrors(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"traceinfo"}, &sb); err == nil {
+	if err := run([]string{"trace", "info"}, &sb); err == nil {
 		t.Error("missing file accepted")
 	}
-	if err := run([]string{"traceinfo", "/no/such/file"}, &sb); err == nil {
+	if err := run([]string{"trace", "info", "/no/such/file"}, &sb); err == nil {
 		t.Error("missing file accepted")
 	}
 }
@@ -201,10 +224,10 @@ func TestSelfcheck(t *testing.T) {
 	if !strings.Contains(out, "all identities hold") || strings.Contains(out, "FAIL") {
 		t.Errorf("selfcheck output:\n%s", out)
 	}
-	// And against a trace file.
+	// And against a packed trace file.
 	dir := t.TempDir()
-	path := filepath.Join(dir, "t.trace")
-	if err := run([]string{"tracegen", "-workload", "LU32", "-o", path}, &sb); err != nil {
+	path := filepath.Join(dir, "t.umt")
+	if err := run([]string{"trace", "pack", "-workload", "LU32", "-o", path}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	sb.Reset()

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // cmdSelfcheck verifies the paper's structural identities on any trace — a
@@ -26,7 +25,7 @@ import (
 func cmdSelfcheck(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("selfcheck", flag.ContinueOnError)
 	workloadName := fs.String("workload", "", "workload name (see 'list')")
-	file := fs.String("trace", "", "binary trace file (alternative to -workload)")
+	file := fs.String("trace", "", "packed trace file (see 'trace pack'; alternative to -workload)")
 	block := fs.Int("block", 64, "block size in bytes")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -36,30 +35,9 @@ func cmdSelfcheck(args []string, out io.Writer) error {
 		return err
 	}
 
-	// The trace must be replayed several times: collect files into
-	// memory, regenerate workloads per pass.
-	var reader func() (trace.Reader, error)
-	if *workloadName != "" && *file == "" {
-		w, err := workload.Get(*workloadName)
-		if err != nil {
-			return err
-		}
-		reader = func() (trace.Reader, error) { return w.Reader(), nil }
-	} else {
-		r, err := openTrace(*workloadName, *file)
-		if err != nil {
-			return err
-		}
-		tr, err := trace.Collect(r)
-		if err != nil {
-			return err
-		}
-		if err := tr.Validate(); err != nil {
-			return err
-		}
-		reader = func() (trace.Reader, error) { return tr.Reader(), nil }
-	}
-
+	// The trace is replayed once per pass: workloads regenerate and packed
+	// files are read again.
+	reader := func() (trace.Reader, error) { return openTrace(*workloadName, *file) }
 	r, err := reader()
 	if err != nil {
 		return err

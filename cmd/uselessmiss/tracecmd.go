@@ -15,8 +15,8 @@ import (
 
 // cmdTrace dispatches the packed trace-store tooling: pack (generate a
 // workload's trace into the segmented columnar on-disk format), info
-// (header plus TOC/segment statistics) and cat (decode a packed file back
-// to the v2 stream codec).
+// (header plus TOC/segment statistics) and cat (print a packed file in the
+// text format).
 func cmdTrace(ctx context.Context, args []string, out io.Writer) error {
 	if len(args) == 0 {
 		return fmt.Errorf("trace needs a subcommand: pack, info or cat")
@@ -119,8 +119,7 @@ func cmdTracePackedInfo(args []string, out io.Writer) error {
 
 func cmdTraceCat(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("trace cat", flag.ContinueOnError)
-	output := fs.String("o", "", "output file for the v2 stream (required)")
-	format := fs.String("format", "binary", "output format: binary or text")
+	output := fs.String("o", "", "output file for the text trace (required)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -139,16 +138,7 @@ func cmdTraceCat(ctx context.Context, args []string, out io.Writer) error {
 		trace.CloseReader(r) //nolint:errcheck // error-path cleanup
 		return err
 	}
-	switch *format {
-	case "binary":
-		err = trace.WriteBinary(f, r)
-	case "text":
-		err = trace.WriteText(f, r)
-	default:
-		err = fmt.Errorf("unknown format %q", *format)
-		trace.CloseReader(r) //nolint:errcheck // error-path cleanup
-	}
-	if err != nil {
+	if err := trace.WriteText(f, r); err != nil {
 		f.Close() //nolint:errcheck // error-path cleanup
 		return err
 	}

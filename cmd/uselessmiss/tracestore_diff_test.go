@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -10,6 +11,8 @@ import (
 	"testing"
 
 	"repro/internal/experiment"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // packLU32 packs one LU32 trace through the CLI and returns its path.
@@ -121,6 +124,28 @@ func TestTracestoreDifferentialTable1(t *testing.T) {
 	}
 }
 
+// TestTracestoreDifferentialTable2 characterizes packed files: Table 2
+// over LU32 and JACOBI bound with -trace-file must be byte-identical to the
+// in-memory table, serially and on the parallel sweep.
+func TestTracestoreDifferentialTable2(t *testing.T) {
+	if testing.Short() {
+		t.Skip("differential grid is not short")
+	}
+	lu := packLU32(t)
+	jacobi := filepath.Join(t.TempDir(), "JACOBI.umt")
+	runOut(t, "trace", "pack", "-workload", "JACOBI", "-o", jacobi)
+	want := runOut(t, "table2", "-workloads", "LU32,JACOBI")
+	for _, j := range []string{"1", "8"} {
+		t.Run("j"+j, func(t *testing.T) {
+			got := runOut(t, "table2", "-workloads", "LU32,JACOBI", "-j", j,
+				"-trace-file", "LU32="+lu, "-trace-file", "JACOBI="+jacobi)
+			if got != want {
+				t.Errorf("file-backed table2 diverges from in-memory at -j %s:\n--- want\n%s\n--- got\n%s", j, want, got)
+			}
+		})
+	}
+}
+
 // perCellTable1 classifies the packed LU32 file once per Table 1 block size
 // through the classify subcommand and maps each "B class scheme" row of
 // Table 1 to its miss count: TS, COLD and FS are PTS, PC+CTS+CFS and PFS
@@ -170,26 +195,28 @@ func TestTracestoreDifferentialSegmentBoundaries(t *testing.T) {
 	}
 }
 
-// TestTraceCLIRoundtrip exercises pack → info → cat: the decoded v2 stream
-// must match tracegen's direct encoding byte for byte.
+// TestTraceCLIRoundtrip exercises pack → info → cat: the text cat prints
+// must match the text format of the generated stream byte for byte.
 func TestTraceCLIRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	packed := filepath.Join(dir, "j.umt")
-	v2 := filepath.Join(dir, "j.v2")
 	cat := filepath.Join(dir, "j.cat")
 	runOut(t, "trace", "pack", "-workload", "LU32", "-o", packed)
-	runOut(t, "tracegen", "-workload", "LU32", "-o", v2)
 	runOut(t, "trace", "cat", "-o", cat, packed)
-	a, err := os.ReadFile(v2)
+	w, err := workload.Get("LU32")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(cat)
+	var want bytes.Buffer
+	if err := trace.WriteText(&want, w.Reader()); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(a) != string(b) {
-		t.Fatalf("trace cat output differs from tracegen (%d vs %d bytes)", len(a), len(b))
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("trace cat output differs from the generated stream's text (%d vs %d bytes)", len(got), want.Len())
 	}
 	info := runOut(t, "trace", "info", packed)
 	for _, want := range []string{"format version", "processors", "segments", "toc sha256"} {

@@ -1,8 +1,8 @@
 // Customtrace shows the trace tooling end to end: generate a custom
-// workload with explicit parameters, stream it to a binary trace file,
+// workload with explicit parameters, pack it into a binary trace file,
 // reload it, and verify that classifying the file gives the same answer as
 // classifying the live stream. The same file format is what the
-// 'uselessmiss tracegen' and 'uselessmiss classify -trace' commands use.
+// 'uselessmiss trace pack' and 'uselessmiss classify -trace' commands use.
 package main
 
 import (
@@ -18,20 +18,24 @@ func main() {
 	w := uselessmiss.Water(32, 2, 8)
 	fmt.Println(w.Description)
 
-	// Stream the trace into the binary codec (a file in real use).
+	// Pack the trace (into a file in real use).
 	var buf bytes.Buffer
-	if err := uselessmiss.WriteBinary(&buf, w.Reader()); err != nil {
+	if err := uselessmiss.Pack(&buf, w.Reader()); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("encoded trace: %d bytes\n", buf.Len())
+	fmt.Printf("packed trace: %d bytes\n", buf.Len())
+	reload := func() uselessmiss.Reader {
+		r, err := uselessmiss.OpenPacked(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+		if err != nil {
+			log.Fatal(err)
+		}
+		return r
+	}
 
 	// Reload and characterize it.
-	dec, err := uselessmiss.NewDecoder(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		log.Fatal(err)
-	}
-	stats := uselessmiss.NewStats(dec.NumProcs(), true)
-	if err := uselessmiss.Drive(dec, stats); err != nil {
+	r := reload()
+	stats := uselessmiss.NewStats(r.NumProcs(), true)
+	if err := uselessmiss.Drive(r, stats); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("reloaded: %d loads, %d stores, %d sync ops, %d KB touched, speedup %.1f\n",
@@ -39,11 +43,7 @@ func main() {
 
 	// Classify both the file and a fresh generation; they must agree.
 	g := uselessmiss.MustGeometry(64)
-	dec, err = uselessmiss.NewDecoder(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fromFile, _, err := uselessmiss.Classify(dec, g)
+	fromFile, _, err := uselessmiss.Classify(reload(), g)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -109,7 +109,8 @@ func TestWorkloadEssentialMonotone(t *testing.T) {
 	}
 }
 
-// Binary round-tripping a benchmark trace preserves every analysis result.
+// Packing a benchmark trace and replaying the packed bytes preserves every
+// analysis result.
 func TestWorkloadCodecTransparency(t *testing.T) {
 	w, err := Workload("LU32")
 	if err != nil {
@@ -122,18 +123,18 @@ func TestWorkloadCodecTransparency(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, w.Reader()); err != nil {
+	if err := Pack(&buf, w.Reader()); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := NewDecoder(&buf)
+	packed, err := OpenPacked(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaCodec, _, err := Classify(dec, g)
+	viaPacked, _, err := Classify(packed, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if direct != viaCodec {
-		t.Errorf("codec changed the classification: %+v vs %+v", direct, viaCodec)
+	if direct != viaPacked {
+		t.Errorf("packing changed the classification: %+v vs %+v", direct, viaPacked)
 	}
 }

@@ -94,8 +94,8 @@ func (e *errorAfter) Next() (trace.Ref, error) {
 // trace data. The corruption is silent — addresses stay valid, processors
 // stay in range — so downstream consumers keep running and produce wrong
 // counts; the differential suite uses it to prove corruption changes
-// results rather than crashing, while the codec's CRC framing is what
-// rejects corrupt bytes before they get this far.
+// results rather than crashing, while the packed trace store's CRC framing
+// is what rejects corrupt bytes before they get this far.
 func CorruptAddrs(r trace.Reader, n uint64) trace.Reader {
 	return &corruptAddrs{base: base{r: r}, after: n}
 }

@@ -8,7 +8,7 @@ import "strings"
 //
 //   - generation: the synthetic workload generators (internal/workload).
 //   - replay:     reference delivery — batch pumps, slice readers and
-//     codecs (internal/trace).
+//     the text format (internal/trace).
 //   - classify:   the classifiers, schedules, finite caches and their
 //     dense tables (internal/core, coherence, finite, dense, timing).
 //   - render:     table and chart rendering (internal/report).

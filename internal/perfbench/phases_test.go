@@ -13,7 +13,7 @@ func TestPhaseOfStack(t *testing.T) {
 		{"memmove under dense", []string{"runtime.memmove", "repro/internal/dense.(*Map[...]).grow"}, "classify"},
 		{"generator", []string{"repro/internal/workload.(*Workload).Reader.func1"}, "generation"},
 		{"replay pump", []string{"repro/internal/trace.Drive"}, "replay"},
-		{"codec", []string{"repro/internal/trace.(*Decoder).NextBatch"}, "replay"},
+		{"slice reader", []string{"repro/internal/trace.(*sliceReader).NextBatch"}, "replay"},
 		{"schedule", []string{"repro/internal/coherence.(*min).RefBatch"}, "classify"},
 		{"finite cache", []string{"repro/internal/finite.(*Classifier).access"}, "classify"},
 		{"timing model", []string{"repro/internal/timing.(*simulator).Ref"}, "classify"},

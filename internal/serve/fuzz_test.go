@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"net/url"
@@ -12,19 +13,18 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/experiment"
 	"repro/internal/mem"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 // FuzzJobSpec drives the submission front end — content-type dispatch, the
-// JSON spec decoder, the upload query parser, validate and the upload
-// sniffer — with hostile input. Properties: nothing panics; every rejection
-// is a typed *JobError with a 4xx status; an accepted spec carries only
-// what the drivers accept; an accepted upload's reader terminates, and once
-// closed no spooled temp file is left behind.
+// JSON spec decoder, the upload query parser, validate — and the runner's
+// upload path with hostile input. Properties: nothing panics; every
+// rejection is a typed *JobError with a 4xx status; an accepted spec
+// carries only what the drivers accept; an accepted upload either
+// classifies or fails as a bad request, and leaves no temp file behind.
 func FuzzJobSpec(f *testing.F) {
 	tmp := f.TempDir()
-	f.Setenv("TMPDIR", tmp) // openTraceBytes spools packed uploads here
+	f.Setenv("TMPDIR", tmp) // where an upload spooled to disk would land
 
 	for _, spec := range []string{
 		`{"experiment":"fig5","workloads":["LU32"],"tenant":"alice","timeout_ms":60000}`,
@@ -37,10 +37,10 @@ func FuzzJobSpec(f *testing.F) {
 	for _, tc := range badSpecs {
 		f.Add(false, "", []byte(tc.spec))
 	}
-	codec, packed := smallBodies(f, 64)
-	f.Add(true, "block=64&scheme=all", codec)
+	packed := smallBody(f, 64)
+	f.Add(true, "block=64&scheme=all", packed)
 	f.Add(true, "block=64&scheme=ours&tenant=bob&timeout_ms=1000", packed)
-	f.Add(true, "block=3", codec)
+	f.Add(true, "block=3", packed)
 
 	s := &Server{cfg: Config{}.withDefaults()}
 	maxPar := s.cfg.MaxParallelism
@@ -96,16 +96,14 @@ func FuzzJobSpec(f *testing.F) {
 		if traceBytes == nil {
 			return
 		}
-		if tr, err := openTraceBytes(traceBytes); err == nil {
-			for {
-				if _, err := tr.Next(); err != nil {
-					break // io.EOF or a decode error: either ends the stream
-				}
+		j := &job{spec: *spec, traceBytes: traceBytes}
+		if err := s.run(context.Background(), j); err != nil {
+			if je := s.classify(j, err); je.Code != CodeBadRequest {
+				t.Fatalf("upload failed as %s, want %s: %v", je.Code, CodeBadRequest, err)
 			}
-			trace.CloseReader(tr)
 		}
 		if left, _ := os.ReadDir(tmp); len(left) != 0 {
-			t.Fatalf("upload left %d spooled files behind", len(left))
+			t.Fatalf("upload left %d files behind", len(left))
 		}
 	})
 }

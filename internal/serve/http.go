@@ -55,9 +55,9 @@ func (s *Server) writeError(w http.ResponseWriter, je *JobError) {
 	json.NewEncoder(w).Encode(&env) //nolint:errcheck // best-effort error body
 }
 
-// handleSubmit is the job API: a JSON JobSpec body, or an uploaded trace
-// body (packed store or binary codec) with the classify parameters in the
-// query string. The call is synchronous — the response is the rendered
+// handleSubmit is the job API: a JSON JobSpec body, or an uploaded packed
+// trace body (see 'uselessmiss trace pack') with the classify parameters in
+// the query string. The call is synchronous — the response is the rendered
 // table, byte-identical to the offline CLI's.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, traceBytes, je := s.parseSubmission(r)

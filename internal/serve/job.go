@@ -141,9 +141,8 @@ func (s *JobSpec) validate(maxPar int, hasTrace bool) *JobError {
 type job struct {
 	id   uint64
 	spec JobSpec
-	// traceBytes, when non-nil, holds an uploaded trace body (packed
-	// store or binary codec); the job classifies it instead of a
-	// generated workload.
+	// traceBytes, when non-nil, holds an uploaded packed trace body;
+	// the job classifies it in place instead of a generated workload.
 	traceBytes []byte
 
 	ctx    context.Context

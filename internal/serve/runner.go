@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/experiment"
@@ -60,11 +59,12 @@ func (s *Server) run(ctx context.Context, j *job) (err error) {
 	}
 	switch {
 	case j.traceBytes != nil:
-		r, openErr := openTraceBytes(j.traceBytes)
+		// An upload is a packed trace, opened where it lies in memory.
+		f, openErr := tracestore.NewFile(bytes.NewReader(j.traceBytes), int64(len(j.traceBytes)))
 		if openErr != nil {
 			return fmt.Errorf("%w: %w", errBadTrace, openErr)
 		}
-		return experiment.ClassifyReader(o, s.wrap(r), j.spec.Block, j.spec.Scheme)
+		return experiment.ClassifyReader(o, s.wrap(f.Reader()), j.spec.Block, j.spec.Scheme)
 	case j.spec.Experiment == "classify":
 		w, getErr := workload.Get(j.spec.Workload)
 		if getErr != nil {
@@ -95,7 +95,8 @@ var (
 func (s *Server) classify(j *job, err error) *JobError {
 	je := &JobError{Job: j.id, Tenant: j.spec.tenant(), Err: err}
 	switch {
-	case errors.Is(err, errBadTrace):
+	case errors.Is(err, errBadTrace), errors.Is(err, tracestore.ErrCorrupt):
+		// A corrupt segment surfaces mid-replay, after the upload opened.
 		je.Code = CodeBadRequest
 	case errors.Is(err, experiment.ErrUnknownJob):
 		je.Code = CodeUnknown
@@ -111,51 +112,4 @@ func (s *Server) classify(j *job, err error) *JobError {
 		je.Code = CodeInternal
 	}
 	return je
-}
-
-// openTraceBytes opens an uploaded trace body: the packed store format
-// (sniffed by magic; spooled to a temp file because the store reader needs
-// random access) or the v2 binary codec (decoded in place).
-func openTraceBytes(b []byte) (trace.Reader, error) {
-	if len(b) >= len(tracestore.Magic) && string(b[:len(tracestore.Magic)]) == tracestore.Magic {
-		f, err := os.CreateTemp("", "uselessmiss-job-*.umtrace")
-		if err != nil {
-			return nil, err
-		}
-		path := f.Name()
-		if _, err := f.Write(b); err != nil {
-			f.Close()
-			os.Remove(path)
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
-			os.Remove(path)
-			return nil, err
-		}
-		r, err := tracestore.OpenReader(path)
-		if err != nil {
-			os.Remove(path)
-			return nil, err
-		}
-		return &unlinkingReader{Reader: r, path: path}, nil
-	}
-	dec, err := trace.NewDecoder(bytes.NewReader(b))
-	if err != nil {
-		return nil, err
-	}
-	return dec, nil
-}
-
-// unlinkingReader removes the spooled temp file when the stream closes.
-type unlinkingReader struct {
-	*tracestore.Reader
-	path string
-}
-
-func (r *unlinkingReader) Close() error {
-	err := r.Reader.Close()
-	if rmErr := os.Remove(r.path); err == nil {
-		err = rmErr
-	}
-	return err
 }

@@ -143,9 +143,9 @@ func offlineClassify(t *testing.T, name string, block int, scheme string) []byte
 	return buf.Bytes()
 }
 
-// smallBodies renders the first refs references of LU32 in both upload
-// formats: the v2 stream codec and the packed store (several segments).
-func smallBodies(tb testing.TB, refs int) (codec, packed []byte) {
+// smallBody packs the first refs references of LU32 into several segments:
+// an upload body.
+func smallBody(tb testing.TB, refs int) []byte {
 	tb.Helper()
 	w, err := workload.Get("LU32")
 	if err != nil {
@@ -161,14 +161,11 @@ func smallBodies(tb testing.TB, refs int) (codec, packed []byte) {
 		}
 		tr.Append(ref)
 	}
-	var c, p bytes.Buffer
-	if err := trace.WriteBinary(&c, tr.Reader()); err != nil {
-		tb.Fatal(err)
-	}
+	var p bytes.Buffer
 	if _, err := tracestore.Pack(&p, tr.Reader(), tracestore.WriterOptions{SegmentRefs: refs / 4}); err != nil {
 		tb.Fatal(err)
 	}
-	return c.Bytes(), p.Bytes()
+	return p.Bytes()
 }
 
 // stallAll is a reader hook that parks every job for d before its first
@@ -240,9 +237,16 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 			t.Errorf("%s: got %d/%s, want %d/%s", tc.name, res.status, res.code, tc.status, tc.code)
 		}
 	}
-	codec, _ := smallBodies(t, 64)
-	if res := upload(t, ts.base, "block=3", codec); res.status != http.StatusBadRequest || res.code != string(CodeBadRequest) {
+	body := smallBody(t, 64)
+	if res := upload(t, ts.base, "block=3", body); res.status != http.StatusBadRequest || res.code != string(CodeBadRequest) {
 		t.Errorf("upload with block=3: got %d/%s, want 400/bad_request", res.status, res.code)
+	}
+	// A flipped payload byte passes Open, which reads only the header and
+	// the TOC, and fails the segment's CRC mid-replay.
+	corrupt := bytes.Clone(body)
+	corrupt[10] ^= 0x40
+	if res := upload(t, ts.base, "block=64", corrupt); res.status != http.StatusBadRequest || res.code != string(CodeBadRequest) {
+		t.Errorf("upload with a corrupt segment: got %d/%s, want 400/bad_request", res.status, res.code)
 	}
 }
 

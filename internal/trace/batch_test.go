@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"testing"
@@ -81,17 +80,6 @@ func TestNextBatchMatchesNext(t *testing.T) {
 			}
 		})
 	}
-	var bin bytes.Buffer
-	if err := WriteBinary(&bin, tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
-	makeDec := func() Reader {
-		d, err := NewDecoder(bytes.NewReader(bin.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
 
 	cases := []struct {
 		name string
@@ -99,7 +87,6 @@ func TestNextBatchMatchesNext(t *testing.T) {
 	}{
 		{"slice", func() Reader { return tr.Reader() }},
 		{"generator", makeGen},
-		{"decoder", makeDec},
 	}
 	for _, tc := range cases {
 		for _, size := range []int{1, 7, 512, 8192} {

@@ -1,12 +1,10 @@
 package trace
 
-// Microbenchmarks for the trace plumbing itself — batch draining, the
-// binary codec, and stream generation — so `make bench` (which sweeps
-// ./...) tracks the streaming substrate separately from the classifiers
-// that consume it.
+// Microbenchmarks for the trace plumbing itself — batch draining and
+// stream generation — so `make bench` (which sweeps ./...) tracks the
+// streaming substrate separately from the classifiers that consume it.
 
 import (
-	"bytes"
 	"io"
 	"testing"
 
@@ -56,51 +54,6 @@ func BenchmarkSliceReaderNextBatch(b *testing.B) {
 // refWireSizeEstimate keeps SetBytes meaningful without depending on the
 // in-memory struct layout.
 const refWireSizeEstimate = 8
-
-func BenchmarkEncodeBinary(b *testing.B) {
-	tr := benchTrace(4, 1<<14)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, tr.Reader()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecodeBinary(b *testing.B) {
-	tr := benchTrace(4, 1<<14)
-	var enc bytes.Buffer
-	if err := WriteBinary(&enc, tr.Reader()); err != nil {
-		b.Fatal(err)
-	}
-	data := enc.Bytes()
-	buf := make([]Ref, 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d, err := NewDecoder(bytes.NewReader(data))
-		if err != nil {
-			b.Fatal(err)
-		}
-		var total int
-		for {
-			n, err := d.NextBatch(buf)
-			total += n
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		if total != tr.Len() {
-			b.Fatalf("decoded %d of %d refs", total, tr.Len())
-		}
-	}
-	b.SetBytes(int64(len(data)))
-}
 
 func BenchmarkGenerateStream(b *testing.B) {
 	const n = 1 << 14

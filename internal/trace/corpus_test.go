@@ -2,15 +2,12 @@ package trace
 
 import (
 	"bytes"
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
-
-	"repro/internal/mem"
 )
 
 var updateCorpus = flag.Bool("update-corpus", false, "rewrite the committed fuzz seed corpora")
@@ -36,62 +33,11 @@ func corpusEntry(args ...any) string {
 }
 
 // seedCorpora enumerates the committed seeds for every fuzz target in this
-// package. They mirror and extend the f.Add seeds: a valid binary trace and
-// systematic corruptions of it, text traces exercising every directive, and
-// classifier inputs touching the aliasing and wraparound edges.
-func seedCorpora(t testing.TB) map[string][]string {
-	var buf bytes.Buffer
-	tr := New(4, L(0, 1), S(3, 1<<30), A(1, 7), R(1, 7), P())
-	if err := WriteBinary(&buf, tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
-	truncated := valid[:len(valid)-1]
-	mutated := bytes.Clone(valid)
-	mutated[6] ^= 0xff
-
-	// A version-1 stream built by hand (unframed records, bare-EOF
-	// terminated) keeps the legacy decode path in the fuzz corpus now that
-	// WriteBinary emits version 2.
-	v1 := []byte{'U', 'M', 'T', 'R', binaryVersion1, 2} // header, procs=2
-	for _, rec := range [][3]uint64{{uint64(Load), 0, 1}, {uint64(Store), 1, 1 << 20}, {uint64(Phase), 0, 0}} {
-		v1 = append(v1, byte(rec[0]))
-		v1 = binary.AppendUvarint(v1, rec[1])
-		v1 = binary.AppendUvarint(v1, rec[2])
-	}
-
-	// Version-2 framing corruptions: a flipped checksum byte and an
-	// implausible chunk length.
-	badCRC := bytes.Clone(valid)
-	badCRC[len(badCRC)-2] ^= 0xff // inside the final chunk's CRC
-	hugeLen := append(bytes.Clone(valid[:6]), binary.AppendUvarint(nil, maxChunkBytes+1)...)
-
-	var big bytes.Buffer
-	wide := New(64)
-	// Addresses clustered in one block's neighborhood so the decoder
-	// exercises small deltas.
-	const base = mem.Addr(1 << 12)
-	for p := 0; p < 64; p++ {
-		wide.Refs = append(wide.Refs, S(p, base+mem.Addr(p)), L(p, base))
-	}
-	if err := WriteBinary(&big, wide.Reader()); err != nil {
-		t.Fatal(err)
-	}
-
+// package. They mirror and extend the f.Add seeds: text traces exercising
+// every directive, and classifier inputs touching the aliasing and
+// wraparound edges.
+func seedCorpora() map[string][]string {
 	return map[string][]string{
-		"FuzzDecoder": {
-			corpusEntry(valid),
-			corpusEntry(truncated),
-			corpusEntry(valid[:5]),
-			corpusEntry([]byte("UMTR\x01")),
-			corpusEntry([]byte{}),
-			corpusEntry(mutated),
-			corpusEntry(big.Bytes()),
-			corpusEntry(append(bytes.Clone(valid), valid...)), // two headers back to back
-			corpusEntry(v1),
-			corpusEntry(badCRC),
-			corpusEntry(hugeLen),
-		},
 		"FuzzParseText": {
 			corpusEntry("procs 2\nP0 LD 1\nP1 ST 0x10\nPH\n"),
 			corpusEntry("procs 1\n# comment\n\nP0 ACQ 5\nP0 REL 5\n"),
@@ -130,7 +76,7 @@ func seedCorpora(t testing.TB) map[string][]string {
 // `go test` also runs every committed seed through its fuzz target, so this
 // test pins the files while the targets pin the behavior.
 func TestFuzzSeedCorpora(t *testing.T) {
-	for target, entries := range seedCorpora(t) {
+	for target, entries := range seedCorpora() {
 		dir := filepath.Join("testdata", "fuzz", target)
 		if *updateCorpus {
 			if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -2,74 +2,10 @@ package trace
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"repro/internal/mem"
 )
-
-// FuzzDecoder checks that arbitrary input never panics the binary decoder
-// and that every successfully decoded trace re-encodes to an equivalent
-// stream.
-func FuzzDecoder(f *testing.F) {
-	// Seed with a valid trace and a few corruptions of it.
-	var buf bytes.Buffer
-	tr := New(4, L(0, 1), S(3, 1<<30), A(1, 7), R(1, 7), P())
-	if err := WriteBinary(&buf, tr.Reader()); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)-1]) // truncated record
-	f.Add(valid[:5])            // header only, no proc count
-	f.Add([]byte("UMTR\x01"))
-	f.Add([]byte{})
-	mutated := bytes.Clone(valid)
-	mutated[6] ^= 0xff
-	f.Add(mutated)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dec, err := NewDecoder(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		got := New(dec.NumProcs())
-		for {
-			ref, err := dec.Next()
-			if err != nil {
-				break
-			}
-			got.Refs = append(got.Refs, ref)
-		}
-		// Whatever decoded must be valid and must round-trip.
-		if err := got.Validate(); err != nil {
-			t.Fatalf("decoder produced invalid trace: %v", err)
-		}
-		var re bytes.Buffer
-		if err := WriteBinary(&re, got.Reader()); err != nil {
-			t.Fatal(err)
-		}
-		dec2, err := NewDecoder(&re)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; ; i++ {
-			ref, err := dec2.Next()
-			if err == io.EOF {
-				if i != got.Len() {
-					t.Fatalf("re-decode lost refs: %d of %d", i, got.Len())
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref != got.Refs[i] {
-				t.Fatalf("re-decode mismatch at %d", i)
-			}
-		}
-	})
-}
 
 // FuzzParseText checks the text parser never panics and that parsed traces
 // re-render and re-parse to the same refs.

@@ -2,7 +2,8 @@
 // library: a trace is a sequence of references, each issued by a processor
 // and tagged as a data load, data store, synchronization acquire/release, or
 // a phase annotation. Traces can live in memory, stream from generators, or
-// round-trip through compact binary and human-readable text codecs.
+// round-trip through the human-readable text format; the binary storage
+// format is the packed trace store (package tracestore).
 //
 // The paper's methodology is trace-driven simulation (its §5): the same
 // interleaved trace is replayed under different invalidation schedules so

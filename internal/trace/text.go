@@ -21,7 +21,8 @@ import (
 //	# comment       comments and blank lines are ignored
 //
 // The format exists for hand-written test inputs and for inspecting
-// generated traces; the binary format is the storage format.
+// generated traces; the packed trace store (package tracestore) is the
+// storage format.
 
 // WriteText writes r's references to w in the text format and closes r.
 func WriteText(w io.Writer, r Reader) error {

@@ -22,7 +22,8 @@ type File struct {
 	size int64
 
 	procs   int
-	segRefs int // writer's target refs per segment
+	segRefs int   // writer's target refs per segment
+	hdrLen  int64 // header bytes, where the first segment starts
 	toc     []SegmentInfo
 
 	refs, dataRefs uint64
@@ -123,7 +124,7 @@ func (f *File) readHeader() error {
 		return err
 	}
 	off += n2
-	segRefs, _, err := uvarint(b, off)
+	segRefs, n3, err := uvarint(b, off)
 	if err != nil {
 		return err
 	}
@@ -135,8 +136,13 @@ func (f *File) readHeader() error {
 	}
 	f.procs = int(procs)
 	f.segRefs = int(segRefs)
+	f.hdrLen = int64(off + n3)
 	return nil
 }
+
+// minFooterLen is the shortest footer the writer puts after a payload:
+// five one-byte index uvarints, one byte per processor and the CRC.
+func (f *File) minFooterLen() int64 { return 5 + int64(f.procs) + 4 }
 
 func (f *File) readTOC() error {
 	if f.size < trailerLen {
@@ -151,7 +157,7 @@ func (f *File) readTOC() error {
 	}
 	tocOff := int64(binary.LittleEndian.Uint64(tr[0:8]))
 	tocLen := int64(binary.LittleEndian.Uint32(tr[8:12]))
-	if tocLen > maxTOCBytes || tocOff < 0 || tocOff+tocLen != f.size-trailerLen {
+	if tocLen > maxTOCBytes || tocOff < f.hdrLen || tocOff+tocLen != f.size-trailerLen {
 		return corruptf("trailer TOC bounds [%d,+%d) disagree with file size %d", tocOff, tocLen, f.size)
 	}
 	if tocLen < 5 { // at least a segment count byte and the CRC
@@ -175,23 +181,26 @@ func (f *File) readTOC() error {
 	}
 	off += n
 	// An entry is at least seven one-byte uvarints, one byte per processor
-	// and a four-byte CRC, so a count the TOC cannot hold fails before it
-	// sizes toc.
-	if minEntry := uint64(7 + f.procs + 4); count > uint64(len(body)-off)/minEntry {
-		return corruptf("implausible segment count %d for a %d-byte TOC", count, tocLen)
+	// and a four-byte CRC, and a segment at least a count header and a
+	// footer, so a count that either the TOC or the bytes before it cannot
+	// hold fails before it sizes toc.
+	minEntry := uint64(7 + f.procs + 4)
+	minSegment := uint64(minPayloadLen + f.minFooterLen())
+	if count > uint64(len(body)-off)/minEntry || count > uint64(tocOff-f.hdrLen)/minSegment {
+		return corruptf("implausible segment count %d for a %d-byte TOC at offset %d", count, tocLen, tocOff)
 	}
 	toc := make([]SegmentInfo, 0, count)
-	prevEnd := int64(0)
+	prevEnd := f.hdrLen // where the next segment may start
 	for i := uint64(0); i < count; i++ {
 		s, n, err := parseTOCEntry(body, off, f.procs)
 		if err != nil {
 			return fmt.Errorf("segment %d: %w", i, err)
 		}
 		off += n
-		if err := f.validateSegment(s, prevEnd); err != nil {
+		if err := f.validateSegment(s, prevEnd, tocOff); err != nil {
 			return fmt.Errorf("segment %d: %w", i, err)
 		}
-		prevEnd = s.Offset + s.PayloadLen
+		prevEnd = s.Offset + s.PayloadLen + f.minFooterLen()
 		toc = append(toc, s)
 		f.refs += s.Refs
 		f.dataRefs += s.DataRefs
@@ -255,8 +264,10 @@ func parseTOCEntry(b []byte, off, procs int) (SegmentInfo, int, error) {
 }
 
 // validateSegment sanity-checks one TOC entry against the file geometry
-// before any payload bytes are trusted.
-func (f *File) validateSegment(s SegmentInfo, prevEnd int64) error {
+// before any payload bytes are trusted: the payload holds at least its
+// count header, starts past the previous segment's footer, and leaves room
+// for its own footer before the TOC at tocOff.
+func (f *File) validateSegment(s SegmentInfo, prevEnd, tocOff int64) error {
 	if s.Refs == 0 {
 		return corruptf("empty segment")
 	}
@@ -266,11 +277,11 @@ func (f *File) validateSegment(s SegmentInfo, prevEnd int64) error {
 	if s.DataRefs+s.SideRefs != s.Refs {
 		return corruptf("ref counts disagree (%d data + %d side != %d)", s.DataRefs, s.SideRefs, s.Refs)
 	}
-	if s.Offset < prevEnd {
-		return corruptf("segment offset %d overlaps previous end %d", s.Offset, prevEnd)
+	if s.Offset < prevEnd || s.Offset > tocOff {
+		return corruptf("segment offset %d outside [%d,%d]", s.Offset, prevEnd, tocOff)
 	}
-	if s.PayloadLen <= 0 || s.Offset+s.PayloadLen > f.size-trailerLen {
-		return corruptf("payload [%d,+%d) outside file", s.Offset, s.PayloadLen)
+	if s.PayloadLen < minPayloadLen || s.PayloadLen > tocOff-f.minFooterLen()-s.Offset {
+		return corruptf("payload [%d,+%d) and its footer do not fit before the TOC at %d", s.Offset, s.PayloadLen, tocOff)
 	}
 	if s.PayloadLen > (int64(s.Refs)+8)*maxRecordBytes {
 		return corruptf("payload length %d implausible for %d refs", s.PayloadLen, s.Refs)

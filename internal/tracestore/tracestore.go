@@ -50,8 +50,8 @@ import (
 // accepts exactly this version.
 const FormatVersion = 1
 
-// Magic is the four-byte prefix of every packed trace file; callers can
-// sniff it to distinguish packed traces from the v2 stream codec.
+// Magic is the four-byte prefix of every packed trace file. Open rejects a
+// file without it with ErrCorrupt, so no caller needs to sniff it.
 const Magic = "UMTS"
 
 var (
@@ -76,6 +76,10 @@ const (
 	// maxRecordBytes is a loose per-reference ceiling on encoded bytes,
 	// used to reject implausible payload lengths before allocating.
 	maxRecordBytes = 32
+
+	// minPayloadLen is the shortest segment payload the writer makes: the
+	// count header of seven uvarints.
+	minPayloadLen = 7
 
 	// maxTOCBytes bounds the TOC read at Open.
 	maxTOCBytes = 1 << 28

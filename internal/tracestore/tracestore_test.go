@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -105,14 +106,94 @@ func TestRoundtrip(t *testing.T) {
 			if f.DataRefs() != tr.DataRefs() {
 				t.Errorf("DataRefs = %d, want %d", f.DataRefs(), tr.DataRefs())
 			}
-			got := drain(t, f.Reader())
-			if len(got) != len(tr.Refs) {
-				t.Fatalf("decoded %d refs, want %d", len(got), len(tr.Refs))
-			}
-			for i := range got {
-				if got[i] != tr.Refs[i] {
-					t.Fatalf("ref %d: got %v, want %v", i, got[i], tr.Refs[i])
+			check := func(how string, got []trace.Ref) {
+				t.Helper()
+				if len(got) != len(tr.Refs) {
+					t.Fatalf("%s: decoded %d refs, want %d", how, len(got), len(tr.Refs))
 				}
+				for i := range got {
+					if got[i] != tr.Refs[i] {
+						t.Fatalf("%s: ref %d: got %v, want %v", how, i, got[i], tr.Refs[i])
+					}
+				}
+			}
+			check("Collect", drain(t, f.Reader()))
+			check("Next", drainNext(t, f.Reader()))
+			for _, size := range []int{1, 7, 512, 8192} {
+				check(fmt.Sprintf("NextBatch(%d)", size), drainBatch(t, f.Reader(), size))
+			}
+		})
+	}
+}
+
+// drainNext drains r one reference at a time and closes it.
+func drainNext(t *testing.T, r *Reader) []trace.Ref {
+	t.Helper()
+	defer r.Close()
+	var out []trace.Ref
+	for {
+		ref, err := r.Next()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatalf("Next: %v", err)
+		}
+		out = append(out, ref)
+	}
+}
+
+// drainBatch drains r through NextBatch with size-reference batches, so
+// batches end inside and across segments, and closes it.
+func drainBatch(t *testing.T, r *Reader, size int) []trace.Ref {
+	t.Helper()
+	defer r.Close()
+	buf := make([]trace.Ref, size)
+	var out []trace.Ref
+	for {
+		n, err := r.NextBatch(buf)
+		out = append(out, buf[:n]...)
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatalf("NextBatch(%d): %v", size, err)
+		}
+	}
+}
+
+// TestOpenRejectsBadHeader: a header Open cannot trust fails with
+// ErrCorrupt from the check that guards it, before the TOC is read.
+func TestOpenRejectsBadHeader(t *testing.T) {
+	valid := packBytes(t, randomTrace(rand.New(rand.NewSource(15)), 4, 100), WriterOptions{SegmentRefs: 64})
+	if got := string(valid[:7]); got != Magic+"\x01\x04\x40" {
+		t.Fatalf("header %q, want magic, version 1, 4 processors, 64-ref segments", got)
+	}
+	patch := func(at int, b ...byte) []byte {
+		out := bytes.Clone(valid)
+		copy(out[at:], b)
+		return out
+	}
+	manyProcs := append([]byte(Magic), FormatVersion)
+	manyProcs = binary.AppendUvarint(manyProcs, 1<<16+1)
+	manyProcs = append(manyProcs, valid[6:]...)
+	for _, tc := range []struct {
+		name string
+		enc  []byte
+		want string
+	}{
+		{"empty", nil, "bad header magic"},
+		{"stream codec magic", []byte("UMTR\x02\x04\x00"), "bad header magic"},
+		{"bad magic", patch(0, 'N', 'O', 'P', 'E'), "bad header magic"},
+		{"bad version", patch(4, 9), "unsupported format version 9"},
+		{"zero processors", patch(5, 0), "implausible processor count 0"},
+		{"65537 processors", manyProcs, "implausible processor count 65537"},
+		{"zero segment target", patch(6, 0), "implausible segment target 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := NewFile(bytes.NewReader(tc.enc), int64(len(tc.enc)))
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("NewFile = %v, want ErrCorrupt from %q", err, tc.want)
 			}
 		})
 	}
@@ -396,22 +477,23 @@ func TestTruncation(t *testing.T) {
 	}
 }
 
-// hostileTOCFile builds a trace store of segs one-byte segments on procs
-// processors whose TOC claims count entries and carries pad zero bytes
-// after the real ones. Every TOC field is a one-byte uvarint, so each
+// hostileTOCFile builds a trace store of segs payload-byte segments on
+// procs processors, each payload followed by gap bytes where a footer would
+// be, whose TOC claims count entries and carries pad zero bytes after the
+// real ones. Every TOC field but the offsets is a one-byte uvarint, so each
 // per-processor count costs one byte of file.
-func hostileTOCFile(procs, segs int, count uint64, pad int) []byte {
+func hostileTOCFile(procs, segs int, count uint64, pad, payload, gap int) []byte {
 	b := append([]byte(Magic), FormatVersion)
 	b = binary.AppendUvarint(b, uint64(procs))
 	b = binary.AppendUvarint(b, 1)
 	first := len(b)
-	b = append(b, make([]byte, segs)...) // the one-byte payloads
+	b = append(b, make([]byte, segs*(payload+gap))...)
 	tocOff := len(b)
 	toc := binary.AppendUvarint(nil, count)
 	for i := 0; i < segs; i++ {
-		toc = binary.AppendUvarint(toc, uint64(first+i))
-		toc = append(toc, 1, 1, 1, 0, 0, 0)       // payload length, refs, data refs, side refs, min and max address
-		toc = append(toc, make([]byte, procs)...) // per-processor counts
+		toc = binary.AppendUvarint(toc, uint64(first+i*(payload+gap)))
+		toc = append(toc, byte(payload), 1, 1, 0, 0, 0) // payload length, refs, data refs, side refs, min and max address
+		toc = append(toc, make([]byte, procs)...)       // per-processor counts
 		toc = binary.LittleEndian.AppendUint32(toc, 0)
 	}
 	toc = append(toc, make([]byte, pad)...)
@@ -422,28 +504,41 @@ func hostileTOCFile(procs, segs int, count uint64, pad int) []byte {
 	return append(b, trailerMagic[:]...)
 }
 
-// TestOpenBoundsHostileTOCAllocation: one-byte per-processor counts must
-// not cost eight bytes of heap each, and a segment count the TOC cannot
-// hold must fail before it sizes the index, so Open of either file
-// allocates at most twice the file's size.
+// TestOpenBoundsHostileTOCAllocation: Open of a hostile TOC allocates at
+// most limit times the file's size. One-byte per-processor counts must not
+// cost eight bytes of heap each, and a segment count that the TOC or the
+// bytes before it cannot hold must fail before it sizes the index: every
+// segment the writer makes carries a seven-byte count header and a footer
+// of at least 9 + procs bytes.
 func TestOpenBoundsHostileTOCAllocation(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		enc  []byte
+		name  string
+		enc   []byte
+		opens bool // whether the file passes Open's checks
+		limit uint64
 	}{
-		{"one-byte segments on 65536 processors", hostileTOCFile(1<<16, 100, 100, 0)},
-		{"segment count the TOC cannot hold", hostileTOCFile(4, 1, 60000, 64<<10)},
+		{"one-byte segments on 65536 processors", hostileTOCFile(1<<16, 100, 100, 0, 1, 0), false, 2},
+		{"segment count the TOC cannot hold", hostileTOCFile(4, 1, 60000, 64<<10, 1, 0), false, 2},
+		{"200000 one-byte segments on one processor", hostileTOCFile(1, 200000, 200000, 0, 1, 0), false, 2},
+		{"seven-byte segments 10 bytes apart on one processor", hostileTOCFile(1, 200000, 200000, 0, 7, 10), true, 3},
+		{"seven-byte segments on 65536 processors", hostileTOCFile(1<<16, 10, 10, 0, 7, 9+1<<16), true, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			_, err := NewFile(bytes.NewReader(tc.enc), int64(len(tc.enc)))
 			runtime.ReadMemStats(&after)
-			if err != nil && !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("open error %v does not wrap ErrCorrupt", err)
+			if tc.opens && err != nil {
+				t.Fatalf("open: %v", err)
 			}
-			if got, limit := after.TotalAlloc-before.TotalAlloc, 2*uint64(len(tc.enc)); got > limit {
-				t.Errorf("Open of a %d-byte file allocated %d bytes (limit %d)", len(tc.enc), got, limit)
+			if !tc.opens && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("open error %v, want ErrCorrupt", err)
+			}
+			got, limit := after.TotalAlloc-before.TotalAlloc, tc.limit*uint64(len(tc.enc))
+			t.Logf("Open of a %d-byte file allocated %.2f× its size", len(tc.enc), float64(got)/float64(len(tc.enc)))
+			if got > limit {
+				t.Errorf("Open of a %d-byte file allocated %d bytes, %.2f× (limit %d×)",
+					len(tc.enc), got, float64(got)/float64(len(tc.enc)), tc.limit)
 			}
 		})
 	}
