@@ -85,12 +85,12 @@ faults:
 		-run 'TestExitCode|TestTimeoutExpires|TestManifest|TestRegenResumeWithoutManifest'
 
 # The serving-mode suite under the race detector: admission control,
-# graceful drain (readyz-first ordering, forced-cancel exit path), chaos
-# lifecycle leak checks, and the load generator — plus the
-# HTTP-vs-offline differential jobs in cmd/uselessmiss. Any unsynchronized
-# access on the submit path or a goroutine leaked across a drain fails here.
+# graceful drain (readyz-first ordering, forced-cancel exit path) and
+# chaos lifecycle leak checks — plus the HTTP-vs-offline differential
+# jobs in cmd/uselessmiss. Any unsynchronized access on the submit path or
+# a goroutine leaked across a drain fails here.
 serve-check:
-	$(GO) test -race -count=1 ./internal/serve ./internal/load
+	$(GO) test -race -count=1 ./internal/serve
 	$(GO) test -race -count=1 ./cmd/uselessmiss -run 'TestServeDifferential'
 
 # Enforce the aggregate statement-coverage floor: fails if the whole-repo
@@ -149,7 +149,7 @@ bench-compare:
 	fi; \
 	rm -f "$$new"
 
-# The CI perf gate: run the profile-guided harness and fail (exit != 0 with
+# The CI perf gate: run the benchmark harness and fail (exit != 0 with
 # a regression table) when any workload is slower than the committed
 # baseline beyond BENCHTOL, a pinned path allocates per pass, or a baseline
 # workload went missing. The fresh BENCH_<host>_<date>.json lands in the

@@ -20,13 +20,12 @@ func (e *perfGateError) Error() string {
 	return fmt.Sprintf("perf gate failed: %d workload(s) regressed against baseline", e.failures)
 }
 
-// cmdBench runs the profile-guided benchmark harness: every registered
-// workload is measured (refs/s, ns/ref, allocs/pass) and profiled into a
-// per-phase breakdown, and the report is written as schema-versioned
-// BENCH_<host>_<date>.json. With -baseline, the run is additionally gated:
-// a readable regression table is printed and the command fails when a
-// workload is slower than the baseline beyond -tolerance or a pinned path
-// allocates per pass.
+// cmdBench runs the benchmark harness: every registered workload is
+// measured (refs/s, ns/ref, allocs/pass), and the report is written as
+// schema-versioned BENCH_<host>_<date>.json. With -baseline, the run is
+// additionally gated: a readable regression table is printed and the
+// command fails when a workload is slower than the baseline beyond
+// -tolerance or a pinned path allocates per pass.
 func cmdBench(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	output := fs.String("o", "", "output JSON path (default BENCH_<host>_<date>.json)")
@@ -34,7 +33,6 @@ func cmdBench(args []string, out io.Writer) error {
 	tolerance := fs.Float64("tolerance", 0.10, "allowed fractional refs/s drop against baseline")
 	benchtime := fs.Duration("benchtime", 300*time.Millisecond, "wall-clock floor for one timing window per workload")
 	repeats := fs.Int("repeats", 5, "timing windows per workload (the fastest wins)")
-	proftime := fs.Duration("profiletime", 500*time.Millisecond, "wall-clock floor for the profiled passes per workload")
 	allocPasses := fs.Int("allocpasses", 3, "passes to average allocs/pass over")
 	workloads := fs.String("workloads", "", "comma-separated workload subset (default all)")
 	list := fs.Bool("list", false, "list the registered workloads and exit")
@@ -61,7 +59,6 @@ func cmdBench(args []string, out io.Writer) error {
 	rep, err := perfbench.Run(perfbench.Options{
 		MinTime:     *benchtime,
 		Repeats:     *repeats,
-		ProfileTime: *proftime,
 		AllocPasses: *allocPasses,
 		Workloads:   splitList(*workloads),
 		Logf: func(format string, args ...any) {
@@ -101,23 +98,14 @@ func cmdBench(args []string, out io.Writer) error {
 	return nil
 }
 
-// benchSummary renders the fresh measurements, including the per-phase
-// breakdown, as an aligned table.
+// benchSummary renders the fresh measurements as an aligned table.
 func benchSummary(rep *perfbench.Report, out io.Writer) {
-	headers := []string{"workload", "refs/s", "ns/ref", "allocs/pass"}
-	headers = append(headers, perfbench.Phases...)
-	tb := report.NewTable(headers...)
+	tb := report.NewTable("workload", "refs/s", "ns/ref", "allocs/pass")
 	for _, w := range rep.Workloads {
-		cells := []any{
-			w.Name,
+		tb.Rowf(w.Name,
 			fmt.Sprintf("%.0f", w.RefsPerSec),
 			fmt.Sprintf("%.2f", w.NsPerRef),
-			fmt.Sprintf("%.1f", w.AllocsPerPass),
-		}
-		for _, ph := range perfbench.Phases {
-			cells = append(cells, fmt.Sprintf("%.1f%%", w.Phases[ph]))
-		}
-		tb.Rowf(cells...)
+			fmt.Sprintf("%.1f", w.AllocsPerPass))
 	}
 	tb.Notef("%s on %s (%s/%s, %d CPUs, %s)", rep.Schema, rep.Host, rep.GOOS, rep.GOARCH, rep.NumCPU, rep.GoVersion)
 	tb.Fprint(out)

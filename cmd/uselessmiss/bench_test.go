@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -13,13 +14,13 @@ import (
 // benchArgs keeps CLI bench test runs fast; the structure assertions do
 // not depend on measurement quality.
 func benchArgs(extra ...string) []string {
-	args := []string{"bench", "-benchtime", "5ms", "-profiletime", "10ms", "-allocpasses", "1"}
+	args := []string{"bench", "-benchtime", "5ms", "-allocpasses", "1"}
 	return append(args, extra...)
 }
 
-// TestBenchWritesReport: the bench subcommand writes a schema-versioned
-// BENCH JSON with a per-phase breakdown for at least six workloads, and
-// the summary table reaches stdout.
+// TestBenchWritesReport: the bench subcommand writes a v2 BENCH JSON,
+// with no phase breakdown, for at least six workloads, and the summary
+// table reaches stdout.
 func TestBenchWritesReport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_test.json")
 	var sb strings.Builder
@@ -33,9 +34,16 @@ func TestBenchWritesReport(t *testing.T) {
 	if len(rep.Workloads) < 6 {
 		t.Fatalf("report has %d workloads, want >= 6", len(rep.Workloads))
 	}
-	for _, w := range rep.Workloads {
-		if len(w.Phases) != len(perfbench.Phases) {
-			t.Errorf("%s: phase breakdown has %d phases, want %d", w.Name, len(w.Phases), len(perfbench.Phases))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"uselessmiss/perfbench/v2"`)) {
+		t.Errorf("report does not carry the v2 schema:\n%s", raw)
+	}
+	for _, key := range []string{`"phases"`, `"cpu_sample_nanos"`} {
+		if bytes.Contains(raw, []byte(key)) {
+			t.Errorf("report still carries the %s key", key)
 		}
 	}
 	out := sb.String()

@@ -22,13 +22,12 @@
 //	penalty    execution-time model of the schedules (miss penalties)
 //	hotspots   miss attribution by data structure (the §6 narrative)
 //	phases     miss classification over computation phases
-//	bench      profile-guided benchmark harness (BENCH_*.json + perf gate)
+//	bench      benchmark harness (BENCH_*.json + perf gate)
 //	regen      write every experiment's report into a directory
 //	selfcheck  verify the paper's structural identities on any trace
 //	classify   classify one workload or trace file at one block size
 //	protocols  run protocol simulators over one workload or trace file
 //	serve      long-running classification service (HTTP job API)
-//	load       seeded open-loop load generator against a running server
 //	trace      packed trace files: pack a workload, info, cat as text
 //
 // Run 'uselessmiss <subcommand> -h' for the flags of each subcommand.

@@ -33,7 +33,7 @@ func run(args []string, out io.Writer) error {
 // context.Canceled (or DeadlineExceeded) to the caller.
 func runContext(ctx context.Context, args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("missing subcommand (try 'list', 'table1', 'table2', 'fig5', 'fig6', 'large', 'traffic', 'finite', 'ablate', 'compare', 'penalty', 'hotspots', 'phases', 'bench', 'regen', 'selfcheck', 'classify', 'protocols', 'serve', 'load', 'trace')")
+		return fmt.Errorf("missing subcommand (try 'list', 'table1', 'table2', 'fig5', 'fig6', 'large', 'traffic', 'finite', 'ablate', 'compare', 'penalty', 'hotspots', 'phases', 'bench', 'regen', 'selfcheck', 'classify', 'protocols', 'serve', 'trace')")
 	}
 	cmd, rest := args[0], args[1:]
 	switch cmd {
@@ -73,8 +73,6 @@ func runContext(ctx context.Context, args []string, out io.Writer) error {
 		return cmdClassify(ctx, rest, out)
 	case "serve":
 		return cmdServe(ctx, rest, out)
-	case "load":
-		return cmdLoad(ctx, rest, out)
 	case "protocols":
 		return cmdProtocols(ctx, rest, out)
 	case "trace":

@@ -12,8 +12,9 @@ func TestRunDispatch(t *testing.T) {
 	if err := run(nil, &sb); err == nil {
 		t.Error("missing subcommand accepted")
 	}
-	// tracegen and traceinfo went with the stream codec.
-	for _, cmd := range []string{"nope", "tracegen", "traceinfo"} {
+	// tracegen and traceinfo went with the stream codec; load went with
+	// its generator package (e2ebench's serve-mix is the one kept).
+	for _, cmd := range []string{"nope", "tracegen", "traceinfo", "load"} {
 		err := run([]string{cmd}, &sb)
 		if err == nil || !strings.Contains(err.Error(), "unknown subcommand") || exitCode(err) != exitErr {
 			t.Errorf("%s: err = %v, want an unknown subcommand (exit %d)", cmd, err, exitErr)

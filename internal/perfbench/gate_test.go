@@ -12,7 +12,6 @@ func syntheticReport(rps map[string]float64) *Report {
 		w := WorkloadResult{
 			Name: name, RefsPerPass: 1000, Passes: 3,
 			RefsPerSec: v, NsPerRef: 1e9 / v,
-			Phases: Percentages(map[string]int64{}, 0),
 		}
 		if strings.HasPrefix(name, "classify/") {
 			w.Pinned = true

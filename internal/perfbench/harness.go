@@ -1,11 +1,24 @@
+// Package perfbench is the benchmark harness behind the `uselessmiss
+// bench` subcommand and the `make bench-gate` CI perf gate.
+//
+// It runs each representative workload of the replay engine (the three
+// classifiers, the seven invalidation schedules, the finite cache, the
+// trace store, workload generation and an end-to-end figure sweep),
+// measures its throughput and steady-state allocations per pass, and
+// emits a schema-versioned machine-readable report. A committed baseline
+// report plus Compare turn every number in results/*.txt into a defended
+// floor: CI fails with a readable regression table when a change slows a
+// workload beyond tolerance or reintroduces allocations on a pinned path.
+//
+// The harness does not attribute time to layers. The end-to-end benchmark
+// does that from span self time (e2ebench --trace 1), and the experiment
+// subcommands' -cpuprofile writes a profile for a human to read.
 package perfbench
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"runtime"
-	"runtime/pprof"
 	"time"
 )
 
@@ -13,7 +26,7 @@ import (
 // (see normalize): the default full run takes a few seconds per workload
 // set; tests drop the times to milliseconds.
 type Options struct {
-	// MinTime is the wall-clock floor for one unprofiled timing window.
+	// MinTime is the wall-clock floor for one timing window.
 	MinTime time.Duration
 	// Repeats is how many timing windows to run; the report keeps the
 	// fastest window's throughput. Best-of-N is the noise defense on
@@ -21,9 +34,6 @@ type Options struct {
 	// fastest window tracks the machine's real capability and stays
 	// comparable run to run.
 	Repeats int
-	// ProfileTime is the wall-clock floor for the profiled passes that
-	// feed the per-phase breakdown.
-	ProfileTime time.Duration
 	// AllocPasses is how many passes the allocs/pass figure averages over.
 	AllocPasses int
 	// Workloads filters the registry by name; empty means all.
@@ -35,9 +45,6 @@ type Options struct {
 func (o Options) normalize() Options {
 	if o.MinTime <= 0 {
 		o.MinTime = 300 * time.Millisecond
-	}
-	if o.ProfileTime <= 0 {
-		o.ProfileTime = 500 * time.Millisecond
 	}
 	if o.Repeats <= 0 {
 		o.Repeats = 5
@@ -52,8 +59,6 @@ func (o Options) normalize() Options {
 }
 
 // Run measures every selected workload and returns the assembled report.
-// It must not run concurrently with itself or any other CPU profiling in
-// the process (runtime/pprof allows one active CPU profile).
 func Run(o Options) (*Report, error) {
 	o = o.normalize()
 	workloads, err := Find(o.Workloads)
@@ -74,14 +79,11 @@ func Run(o Options) (*Report, error) {
 	return rep, nil
 }
 
-// Measure runs one workload through the three measurement stages:
+// Measure runs one workload through the two measurement stages:
 //
-//  1. allocs/pass at GOMAXPROCS(1) with no profiler attached (the CPU
-//     profile writer allocates, which would pollute the pinned-path
-//     zero-alloc check);
-//  2. unprofiled timed windows for refs/s and ns/ref, keeping the fastest
-//     of Options.Repeats windows;
-//  3. profiled passes, decoded into the per-phase breakdown.
+//  1. allocs/pass at GOMAXPROCS(1);
+//  2. timed windows for refs/s and ns/ref, keeping the fastest of
+//     Options.Repeats windows.
 func Measure(w Workload, o Options) (WorkloadResult, error) {
 	o = o.normalize()
 	pass, err := w.Setup()
@@ -112,14 +114,6 @@ func Measure(w Workload, o Options) (WorkloadResult, error) {
 			}
 		}
 	}
-
-	prof, err := profiledPasses(pass, o.ProfileTime)
-	if err != nil {
-		return res, err
-	}
-	byPhase, total := Breakdown(prof)
-	res.CPUSampleNanos = total
-	res.Phases = Percentages(byPhase, total)
 	return res, nil
 }
 
@@ -168,25 +162,4 @@ func timedPasses(pass func() (uint64, error), minTime time.Duration) (int, time.
 			return passes, time.Since(start), nil
 		}
 	}
-}
-
-// profiledPasses repeats pass under a CPU profile for at least profileTime
-// and returns the decoded profile.
-func profiledPasses(pass func() (uint64, error), profileTime time.Duration) (*Profile, error) {
-	var buf bytes.Buffer
-	if err := pprof.StartCPUProfile(&buf); err != nil {
-		return nil, fmt.Errorf("starting CPU profile: %w", err)
-	}
-	start := time.Now()
-	var runErr error
-	for time.Since(start) < profileTime {
-		if _, runErr = pass(); runErr != nil {
-			break
-		}
-	}
-	pprof.StopCPUProfile()
-	if runErr != nil {
-		return nil, runErr
-	}
-	return ParseProfile(&buf)
 }

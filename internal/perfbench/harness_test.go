@@ -13,15 +13,13 @@ func fastOptions() Options {
 	return Options{
 		MinTime:     5 * time.Millisecond,
 		Repeats:     2,
-		ProfileTime: 20 * time.Millisecond,
 		AllocPasses: 2,
 	}
 }
 
 // TestRunAllWorkloads runs the full registry and checks the acceptance
-// shape: at least six workloads, every one with throughput figures and a
-// complete per-phase breakdown, and the pinned classifier paths at zero
-// steady-state allocations.
+// shape: at least six workloads, every one with throughput figures, and
+// the pinned classifier paths at zero steady-state allocations.
 func TestRunAllWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness run in -short mode")
@@ -50,14 +48,6 @@ func TestRunAllWorkloads(t *testing.T) {
 		if w.Passes <= 0 {
 			t.Errorf("%s: no timed passes", w.Name)
 		}
-		if len(w.Phases) != len(Phases) {
-			t.Errorf("%s: phase breakdown has %d entries, want %d", w.Name, len(w.Phases), len(Phases))
-		}
-		for _, ph := range Phases {
-			if _, ok := w.Phases[ph]; !ok {
-				t.Errorf("%s: breakdown missing phase %q", w.Name, ph)
-			}
-		}
 		if w.Pinned {
 			pinned++
 			if w.AllocsPerPass >= 1 {
@@ -75,7 +65,6 @@ func TestReportRoundTrip(t *testing.T) {
 	rep, err := Run(Options{
 		MinTime:     time.Millisecond,
 		Repeats:     1,
-		ProfileTime: 2 * time.Millisecond,
 		AllocPasses: 1,
 		Workloads:   []string{"classify/appendixA"},
 	})
@@ -110,6 +99,30 @@ func TestLoadRejectsWrongSchema(t *testing.T) {
 	}
 	if _, err := Load(path); err == nil {
 		t.Fatal("Load accepted a wrong-schema report")
+	}
+}
+
+// TestCommittedBaselineLoads: the baseline that make bench-gate and CI's
+// gate job compare against loads under the current schema and names
+// exactly the registered workloads, so a schema bump or a renamed
+// workload fails here rather than only in the gate job. It measures
+// nothing.
+func TestCommittedBaselineLoads(t *testing.T) {
+	rep, err := Load(filepath.Join("..", "..", "results", "BENCH_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered := make(map[string]bool)
+	for _, w := range All() {
+		registered[w.Name] = true
+		if _, ok := rep.Result(w.Name); !ok {
+			t.Errorf("baseline has no result for registered workload %q", w.Name)
+		}
+	}
+	for _, w := range rep.Workloads {
+		if !registered[w.Name] {
+			t.Errorf("baseline holds unregistered workload %q", w.Name)
+		}
 	}
 }
 

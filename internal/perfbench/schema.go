@@ -13,11 +13,10 @@ import (
 
 // Schema identifies the BENCH_*.json layout. Bump on breaking changes;
 // Compare refuses to gate across schemas.
-const Schema = "uselessmiss/perfbench/v1"
+const Schema = "uselessmiss/perfbench/v2"
 
 // Report is one harness run: host metadata plus one result per workload.
-// It serializes deterministically (workloads sorted by name, map keys
-// sorted by encoding/json).
+// It serializes deterministically (workloads sorted by name).
 type Report struct {
 	Schema    string           `json:"schema"`
 	Host      string           `json:"host"`
@@ -38,19 +37,12 @@ type WorkloadResult struct {
 	// Passes is the total timed passes across all timing windows.
 	Passes int `json:"passes"`
 	// RefsPerSec and NsPerRef are the throughput figures of the fastest
-	// unprofiled timing window (best-of-N defends against CPU steal on
-	// shared hosts; profiling adds sampling overhead, so timing and
-	// attribution run separately).
+	// timing window (best-of-N defends against CPU steal on shared hosts).
 	RefsPerSec float64 `json:"refs_per_sec"`
 	NsPerRef   float64 `json:"ns_per_ref"`
 	// AllocsPerPass is heap allocations per pass, measured at
 	// GOMAXPROCS(1) like testing.AllocsPerRun.
 	AllocsPerPass float64 `json:"allocs_per_pass"`
-	// CPUSampleNanos is the total CPU time the profile attributed; Phases
-	// is its per-phase percentage split, with every canonical phase
-	// present.
-	CPUSampleNanos int64              `json:"cpu_sample_nanos"`
-	Phases         map[string]float64 `json:"phases"`
 }
 
 // Result returns the named workload's result, if present.

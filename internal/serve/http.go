@@ -182,8 +182,9 @@ func (s *Server) parseSubmission(r *http.Request) (*JobSpec, []byte, *JobError) 
 	return nil, nil, badReq("unsupported Content-Type %q", ct)
 }
 
-// statsReply is the /v1/stats JSON shape — the load harness reads refs to
-// compute sustained refs/s without scraping Prometheus text.
+// statsReply is the /v1/stats JSON shape: queue, job and replayed-ref
+// counters as one JSON document, for clients that do not scrape the
+// Prometheus text.
 type statsReply struct {
 	Queue struct {
 		Depth    int            `json:"depth"`

@@ -505,8 +505,9 @@ func TestDeadlineIsTyped504(t *testing.T) {
 // across tenants against a server whose job readers fault (every third
 // fails after 200 refs, every fifth is slowed), then a drain — every
 // response typed, every clean table bit-identical to the offline bytes,
-// counters consistent, and no goroutine or slot leaks. Run under -race by
-// make serve-check.
+// counters consistent (on the server and as the live /v1/stats serves
+// them), replayed refs growing, and no goroutine or slot leaks. Run under
+// -race by make serve-check.
 func TestChaosLifecycleLeakFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hundred-job lifecycle")
@@ -530,6 +531,7 @@ func TestChaosLifecycleLeakFree(t *testing.T) {
 		},
 	})
 	want := offlineClassify(t, "LU32", 64, "all")
+	before := getStats(t, ts.base)
 
 	const jobs = 120
 	var wg sync.WaitGroup
@@ -587,11 +589,57 @@ func TestChaosLifecycleLeakFree(t *testing.T) {
 	if depth, tenants, _ := ts.s.adm.snapshot(); depth != 0 || len(tenants) != 0 {
 		t.Errorf("admission slots leaked: depth %d tenants %v", depth, tenants)
 	}
+	after := getStats(t, ts.base)
+	if after.Jobs.Admitted != admitted || after.Jobs.Completed != completed || after.Jobs.Failed != failed {
+		t.Errorf("/v1/stats jobs admitted/completed/failed = %d/%d/%d, server counters %d/%d/%d",
+			after.Jobs.Admitted, after.Jobs.Completed, after.Jobs.Failed, admitted, completed, failed)
+	}
+	if after.Queue.Depth != 0 {
+		t.Errorf("/v1/stats queue depth = %d after every job answered", after.Queue.Depth)
+	}
+	if after.Refs.Driven <= before.Refs.Driven {
+		t.Errorf("/v1/stats refs driven %d -> %d across %d jobs, want growth",
+			before.Refs.Driven, after.Refs.Driven, jobs)
+	}
 
 	if err := ts.drain(t); err != nil {
 		t.Fatalf("drain after chaos returned %v", err)
 	}
 	waitForGoroutines(t, base)
+}
+
+// servedStats is the slice of the /v1/stats JSON the chaos test reads,
+// keyed by the wire names rather than by the server's own reply type.
+type servedStats struct {
+	Queue struct {
+		Depth int `json:"depth"`
+	} `json:"queue"`
+	Jobs struct {
+		Admitted  uint64 `json:"admitted"`
+		Completed uint64 `json:"completed"`
+		Failed    uint64 `json:"failed"`
+	} `json:"jobs"`
+	Refs struct {
+		Driven uint64 `json:"driven"`
+	} `json:"refs"`
+}
+
+// getStats reads the live server's /v1/stats.
+func getStats(t *testing.T, base string) servedStats {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/stats")
+	if err != nil {
+		t.Fatalf("GET /v1/stats: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/stats: status %d", resp.StatusCode)
+	}
+	var st servedStats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatalf("decoding /v1/stats: %v", err)
+	}
+	return st
 }
 
 // waitForGoroutines polls until the goroutine count drops back to at most
