@@ -72,17 +72,17 @@ trace-check:
 # (internal/fault) at -j 1 and -j 8, the replay's cancellation race and
 # failing-reader teardown tests, and the packed trace store's corruption
 # suite (truncations, bit flips, hostile TOCs and headers, malformed
-# segments) — typed errors must propagate, nothing may deadlock or leak,
-# corrupt bytes must never decode, and partial output must never pass as
-# complete.
+# segments), and an interrupted regen — typed errors must propagate,
+# nothing may deadlock or leak, corrupt bytes must never decode, and partial
+# output must never pass as complete.
 faults:
 	$(GO) test -race -count=1 ./internal/fault
 	$(GO) test -race -count=1 ./internal/trace \
-		-run 'TestCancelMidReplayRace|TestShardedOpenFailureNoLeak|TestStallDrainsOnCancel|TestDriveContextAllocs'
+		-run 'TestCancelMidReplayRace|TestDriveFailureNoLeak|TestDriveContextAllocs'
 	$(GO) test -race -count=1 ./internal/tracestore \
 		-run 'TestTruncation|TestBitFlips|TestOpenBoundsHostileTOCAllocation|TestOpenRejectsBadHeader|TestDecodeSegmentRejectsMalformed'
 	$(GO) test -race -count=1 ./cmd/uselessmiss \
-		-run 'TestExitCode|TestTimeoutExpires|TestManifest|TestRegenResumeWithoutManifest'
+		-run 'TestExitCode|TestTimeoutExpires|TestRegenInterruptLeavesCompleteArtifacts'
 
 # The serving-mode suite under the race detector: admission control,
 # graceful drain (readyz-first ordering, forced-cancel exit path) and

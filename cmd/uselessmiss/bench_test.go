@@ -20,11 +20,14 @@ func benchArgs(extra ...string) []string {
 
 // TestBenchWritesReport: the bench subcommand writes a v2 BENCH JSON,
 // with no phase breakdown, for at least six workloads, and the summary
-// table reaches stdout.
+// table reaches stdout. Six cheap workloads show the report's shape;
+// internal/perfbench's TestRunAllWorkloads measures the whole registry.
 func TestBenchWritesReport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_test.json")
 	var sb strings.Builder
-	if err := run(benchArgs("-o", path), &sb); err != nil {
+	workloads := "-workloads=classify/appendixA,classify/eggers,classify/torrellas," +
+		"schedules/all7,finite/lru,serve/submit-path"
+	if err := run(benchArgs("-o", path, workloads), &sb); err != nil {
 		t.Fatalf("bench: %v", err)
 	}
 	rep, err := perfbench.Load(path)
@@ -162,7 +165,7 @@ func TestBenchList(t *testing.T) {
 }
 
 // TestBenchGateExitCode: through the exitCode mapping, a gate failure is a
-// plain error (1), not a partial report or interrupt.
+// plain error (1), not a forced drain or interrupt.
 func TestBenchGateExitCode(t *testing.T) {
 	if got := exitCode(&perfGateError{failures: 2}); got != exitErr {
 		t.Fatalf("exitCode(perfGateError) = %d, want %d", got, exitErr)

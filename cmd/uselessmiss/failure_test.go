@@ -1,8 +1,7 @@
 package main
 
 // End-to-end tests for the failure model: exit-code mapping, -timeout
-// expiry, and the interrupt → checkpoint → -resume cycle with
-// byte-identical goldens.
+// expiry, and an interrupted regen leaving only complete artifacts.
 
 import (
 	"bytes"
@@ -16,10 +15,12 @@ import (
 	"testing"
 
 	"repro/internal/experiment"
+	"repro/internal/serve"
 )
 
 // TestExitCode pins the process exit-code contract: 0 ok, 1 error,
-// 3 partial, 130 interrupted — and cancellation outranks partial.
+// 3 forced serve drain, 130 interrupted — and cancellation outranks a
+// forced drain.
 func TestExitCode(t *testing.T) {
 	cases := []struct {
 		name string
@@ -31,10 +32,10 @@ func TestExitCode(t *testing.T) {
 		{"canceled", context.Canceled, exitInterrupted},
 		{"deadline", context.DeadlineExceeded, exitInterrupted},
 		{"wrapped canceled", fmt.Errorf("regen: %w", context.Canceled), exitInterrupted},
-		{"partial", experiment.ErrPartial, exitPartial},
-		{"wrapped partial", fmt.Errorf("regen: %w", experiment.ErrPartial), exitPartial},
-		{"canceled outranks partial",
-			fmt.Errorf("%w: %w", context.Canceled, experiment.ErrPartial), exitInterrupted},
+		{"forced drain", serve.ErrDrainForced, exitDrainForced},
+		{"wrapped forced drain", fmt.Errorf("%w (2 jobs force-canceled)", serve.ErrDrainForced), exitDrainForced},
+		{"canceled outranks forced drain",
+			fmt.Errorf("%w: %w", context.Canceled, serve.ErrDrainForced), exitInterrupted},
 	}
 	for _, tc := range cases {
 		if got := exitCode(tc.err); got != tc.want {
@@ -77,163 +78,54 @@ func (c *cancelOnWrote) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// TestRegenInterruptResume is the end-to-end resumability golden check: a
-// regen interrupted after its first artifact leaves a checkpoint manifest
-// behind, and -resume completes the run — skipping the finished artifact —
-// to output byte-identical with an uninterrupted regen.
-func TestRegenInterruptResume(t *testing.T) {
-	if raceEnabled {
-		t.Skip("two full regen passes are prohibitively slow under -race; " +
-			"manifest semantics are race-tested on the synthetic artifact list")
-	}
-	straight, resumed := t.TempDir(), t.TempDir()
-
-	var sb strings.Builder
-	if err := run([]string{"regen", "-quick", "-o", straight}, &sb); err != nil {
-		t.Fatalf("straight regen: %v\n%s", err, sb.String())
-	}
-
-	// Interrupt the second run after its first artifact is checkpointed.
+// TestRegenInterruptLeavesCompleteArtifacts: a regen interrupted after its
+// first artifact returns context.Canceled and leaves exactly that artifact
+// behind, byte-identical to its driver's own output, and no temp file; an
+// artifact whose driver is cut short mid-write leaves nothing at all.
+func TestRegenInterruptLeavesCompleteArtifacts(t *testing.T) {
+	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var interrupted strings.Builder
-	err := runContext(ctx, []string{"regen", "-quick", "-o", resumed},
-		&cancelOnWrote{w: &interrupted, cancel: cancel})
+	var progress strings.Builder
+	err := runContext(ctx, []string{"regen", "-quick", "-o", dir},
+		&cancelOnWrote{w: &progress, cancel: cancel})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted regen: err = %v, want context.Canceled\n%s",
-			err, interrupted.String())
+		t.Fatalf("interrupted regen: err = %v, want context.Canceled\n%s", err, progress.String())
 	}
-	if _, err := os.Stat(filepath.Join(resumed, manifestName)); err != nil {
-		t.Fatalf("no checkpoint manifest after interrupt: %v", err)
-	}
-	if n := strings.Count(interrupted.String(), "wrote "); n != 1 {
-		t.Fatalf("interrupted regen wrote %d artifacts, want exactly 1:\n%s",
-			n, interrupted.String())
-	}
-
-	sb.Reset()
-	if err := run([]string{"regen", "-quick", "-o", resumed, "-resume"}, &sb); err != nil {
-		t.Fatalf("resumed regen: %v\n%s", err, sb.String())
-	}
-	if !strings.Contains(sb.String(), "skipped") ||
-		!strings.Contains(sb.String(), "(up to date)") {
-		t.Errorf("resume did not skip the checkpointed artifact:\n%s", sb.String())
-	}
-
-	// Every artifact must be byte-identical to the uninterrupted run.
-	entries, err := os.ReadDir(straight)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compared := 0
-	for _, e := range entries {
-		if e.Name() == manifestName {
-			continue
+	first := regenArtifacts[0]
+	if len(entries) != 1 || entries[0].Name() != first.file {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
 		}
-		want, err := os.ReadFile(filepath.Join(straight, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(filepath.Join(resumed, e.Name()))
-		if err != nil {
-			t.Errorf("resumed run missing %s: %v", e.Name(), err)
-			continue
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s differs between straight and interrupted+resumed runs", e.Name())
-		}
-		compared++
+		t.Fatalf("interrupted regen left %v, want exactly [%s]", names, first.file)
 	}
-	if compared == 0 {
-		t.Fatal("no artifacts compared")
-	}
-}
-
-// withSyntheticArtifacts substitutes a cheap two-artifact list for the real
-// regeneration, so manifest semantics can be tested without replaying the
-// paper (which is prohibitively slow under the race detector).
-func withSyntheticArtifacts(t *testing.T) {
-	t.Helper()
-	saved := regenArtifacts
-	regenArtifacts = []regenArtifact{
-		{"a.txt", func(o experiment.Options) error {
-			_, err := io.WriteString(o.Out, "artifact a\n")
-			return err
-		}},
-		{"b.txt", func(o experiment.Options) error {
-			_, err := io.WriteString(o.Out, "artifact b\n")
-			return err
-		}},
-	}
-	t.Cleanup(func() { regenArtifacts = saved })
-}
-
-// TestRegenResumeWithoutManifest: -resume against a fresh directory just
-// regenerates everything — no manifest is not an error.
-func TestRegenResumeWithoutManifest(t *testing.T) {
-	withSyntheticArtifacts(t)
-	dir := t.TempDir()
-	var sb strings.Builder
-	if err := run([]string{"regen", "-o", dir, "-resume"}, &sb); err != nil {
-		t.Fatalf("%v\n%s", err, sb.String())
-	}
-	if strings.Contains(sb.String(), "skipped") {
-		t.Errorf("fresh -resume skipped artifacts:\n%s", sb.String())
-	}
-	if n := strings.Count(sb.String(), "wrote "); n != len(regenArtifacts) {
-		t.Errorf("wrote %d artifacts, want %d:\n%s", n, len(regenArtifacts), sb.String())
-	}
-}
-
-// TestManifestRejectsStaleArtifact: a checkpointed artifact whose bytes
-// changed on disk is regenerated, not skipped — upToDate re-hashes content
-// rather than trusting the checkpoint — while untouched artifacts are
-// skipped.
-func TestManifestRejectsStaleArtifact(t *testing.T) {
-	withSyntheticArtifacts(t)
-	dir := t.TempDir()
-	var sb strings.Builder
-	if err := run([]string{"regen", "-o", dir}, &sb); err != nil {
-		t.Fatalf("%v\n%s", err, sb.String())
-	}
-	tampered := filepath.Join(dir, "a.txt")
-	if err := os.WriteFile(tampered, []byte("tampered\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sb.Reset()
-	if err := run([]string{"regen", "-o", dir, "-resume"}, &sb); err != nil {
-		t.Fatalf("%v\n%s", err, sb.String())
-	}
-	if !strings.Contains(sb.String(), "wrote "+tampered) {
-		t.Errorf("tampered artifact was not regenerated:\n%s", sb.String())
-	}
-	if !strings.Contains(sb.String(), "skipped "+filepath.Join(dir, "b.txt")) {
-		t.Errorf("untouched artifact was not skipped:\n%s", sb.String())
-	}
-	data, err := os.ReadFile(tampered)
+	got, err := os.ReadFile(filepath.Join(dir, first.file))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(data, []byte("artifact a\n")) {
-		t.Errorf("tampered artifact not restored: %q", data)
+	var want bytes.Buffer
+	if err := first.run(experiment.Options{Out: &want, Quick: true}); err != nil {
+		t.Fatal(err)
 	}
-}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("%s differs from its driver's output:\n%s\nvs\n%s", first.file, got, want.Bytes())
+	}
 
-// TestManifestIgnoredAcrossQuickModes: a checkpoint written in one -quick
-// mode must not satisfy a -resume in the other — the artifact bytes differ
-// between modes even when a file happens to exist.
-func TestManifestIgnoredAcrossQuickModes(t *testing.T) {
-	withSyntheticArtifacts(t)
-	dir := t.TempDir()
-	var sb strings.Builder
-	if err := run([]string{"regen", "-quick", "-o", dir}, &sb); err != nil {
-		t.Fatalf("%v\n%s", err, sb.String())
+	cut := t.TempDir()
+	err = writeArtifact(context.Background(), filepath.Join(cut, "cut.txt"), regenConfig{}, nil,
+		func(o experiment.Options) error {
+			fmt.Fprintln(o.Out, "half a table")
+			return context.Canceled
+		})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("cut-short artifact: err = %v, want context.Canceled", err)
 	}
-	sb.Reset()
-	if err := run([]string{"regen", "-o", dir, "-resume"}, &sb); err != nil {
-		t.Fatalf("%v\n%s", err, sb.String())
-	}
-	if strings.Contains(sb.String(), "skipped") {
-		t.Errorf("-resume trusted a checkpoint from the other -quick mode:\n%s", sb.String())
+	if entries, err := os.ReadDir(cut); err != nil || len(entries) != 0 {
+		t.Errorf("cut-short artifact left %v (%v), want an empty directory", entries, err)
 	}
 }

@@ -36,8 +36,7 @@
 //
 //	0    success (for 'serve': a clean graceful drain)
 //	1    error
-//	3    partial report: -keep-going rendered a table with FAILED cells,
-//	     or a 'serve' drain hit its deadline and force-canceled jobs
+//	3    a 'serve' drain hit its deadline and force-canceled jobs
 //	130  interrupted: SIGINT/SIGTERM received or -timeout expired
 package main
 
@@ -49,13 +48,13 @@ import (
 	"os/signal"
 	"syscall"
 
-	"repro/internal/experiment"
+	"repro/internal/serve"
 )
 
 const (
 	exitOK          = 0
 	exitErr         = 1
-	exitPartial     = 3
+	exitDrainForced = 3
 	exitInterrupted = 130
 )
 
@@ -80,7 +79,7 @@ func exitCode(err error) int {
 }
 
 // exitCodeFor maps a run error onto the CLI's exit-code scheme:
-// cancellation (signal or -timeout) outranks a partial report, which
+// cancellation (signal or -timeout) outranks a forced serve drain, which
 // outranks a plain error. Pure, so the provenance manifest records the
 // same status the process exits with.
 func exitCodeFor(err error) int {
@@ -89,8 +88,8 @@ func exitCodeFor(err error) int {
 		return exitOK
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		return exitInterrupted
-	case errors.Is(err, experiment.ErrPartial):
-		return exitPartial
+	case errors.Is(err, serve.ErrDrainForced):
+		return exitDrainForced
 	}
 	return exitErr
 }

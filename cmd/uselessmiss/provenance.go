@@ -30,7 +30,8 @@ type provenanceManifest struct {
 	WallSeconds float64  `json:"wall_seconds"`
 	RefsPerSec  float64  `json:"refs_per_sec"`
 	// ExitStatus is the exit code the run error maps to (0 ok, 1 error,
-	// 3 partial, 130 interrupted); Error holds the message when non-zero.
+	// 3 forced serve drain, 130 interrupted); Error holds the message when
+	// non-zero.
 	ExitStatus int    `json:"exit_status"`
 	Error      string `json:"error,omitempty"`
 	// TraceFiles lists the packed trace inputs with their TOC digests;

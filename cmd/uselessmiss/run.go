@@ -121,13 +121,13 @@ func splitInts(s string) ([]int, error) {
 
 // expFlags carries the flag values shared by the experiment subcommands.
 type expFlags struct {
-	quick, csv, keepGoing *bool
-	workloads, protocols  *string
-	traceFiles            traceFileFlag
-	par                   *int
-	timeout               *time.Duration
-	prof                  *profiler
-	in                    *instruments
+	quick, csv           *bool
+	workloads, protocols *string
+	traceFiles           traceFileFlag
+	par                  *int
+	timeout              *time.Duration
+	prof                 *profiler
+	in                   *instruments
 }
 
 // experimentFlags registers the flags shared by the experiment subcommands.
@@ -138,7 +138,6 @@ func experimentFlags(fs *flag.FlagSet) *expFlags {
 	ef.workloads = fs.String("workloads", "", "comma-separated workload list (default: the experiment's own)")
 	ef.protocols = fs.String("protocols", "", "comma-separated protocol list (fig6/large only)")
 	ef.par = fs.Int("j", 0, "worker goroutines for the sweep grid (0 = GOMAXPROCS, 1 = serial)")
-	ef.keepGoing = fs.Bool("keep-going", false, "render a partial report with failed sweep cells marked FAILED instead of aborting (exit code 3)")
 	fs.Var(ef.traceFiles, "trace-file", "replay workloads from packed trace files: comma-separated NAME=PATH bindings, repeatable (see 'trace pack'); bound workloads stream out-of-core instead of regenerating")
 	ef.timeout = fs.Duration("timeout", 0, "abort the run after this duration, like an interrupt (0 = no limit)")
 	ef.prof = addProfileFlags(fs)
@@ -170,7 +169,6 @@ func (ef *expFlags) options(ctx context.Context, out io.Writer) (experiment.Opti
 		Protocols:   splitList(*ef.protocols),
 		Parallelism: *ef.par,
 		Ctx:         ctx,
-		KeepGoing:   *ef.keepGoing,
 		TraceFiles:  files,
 	}, cleanup, nil
 }

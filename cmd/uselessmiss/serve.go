@@ -14,8 +14,8 @@ import (
 
 // cmdServe runs the long-lived classification service. It blocks until
 // the signal context cancels, then drains: a clean drain exits 0, a drain
-// that had to force-cancel jobs exits 3 (partial results — the jobs that
-// were killed got typed "canceled" errors).
+// that had to force-cancel jobs exits 3 (the jobs that were killed got
+// typed "canceled" errors).
 func cmdServe(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	var cfg serve.Config

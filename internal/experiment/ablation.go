@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/report"
-	"repro/internal/sweep"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -24,7 +23,7 @@ import (
 // results in (workload-major, variant) order. Without split the simulators
 // are rate-only (see coherence.RatesOnly) and every Counts is zero.
 func runVariants(o Options, ws []*workload.Workload, variants int, split bool,
-	newSim func(w *workload.Workload, j int) (coherence.Simulator, error)) ([]coherence.Result, *sweep.Failures, error) {
+	newSim func(w *workload.Workload, j int) (coherence.Simulator, error)) ([]coherence.Result, error) {
 	cache := o.traceCache()
 	return mapCells(o, len(ws)*variants, func(ctx context.Context, i int) (coherence.Result, error) {
 		w, j := ws[i/variants], i%variants
@@ -36,7 +35,7 @@ func runVariants(o Options, ws []*workload.Workload, variants int, split bool,
 		if !split {
 			sim = coherence.RatesOnly(sim)
 		}
-		r, err := cache.ReaderContext(ctx, w.Name)
+		r, err := o.reader(ctx, cache, w.Name)
 		if err != nil {
 			return coherence.Result{}, err
 		}
@@ -72,7 +71,7 @@ func AblationCU(o Options, blockBytes int) error {
 	for _, threshold := range CompetitiveThresholds {
 		labels = append(labels, fmt.Sprintf("CU-%d", threshold))
 	}
-	cells, fails, err := runVariants(o, ws, len(labels), false,
+	cells, err := runVariants(o, ws, len(labels), false,
 		func(w *workload.Workload, j int) (coherence.Simulator, error) {
 			switch j {
 			case 0:
@@ -91,10 +90,6 @@ func AblationCU(o Options, blockBytes int) error {
 	tb := report.NewTable("workload", "protocol", "miss%", "updates/ref", "traffic B/ref")
 	for wi, w := range ws {
 		for j, label := range labels {
-			if fails.Failed(wi*len(labels)+j) != nil {
-				tb.Rowf(w.Name, label, "FAILED")
-				continue
-			}
 			res := cells[wi*len(labels)+j]
 			refs := float64(res.DataRefs)
 			tb.Rowf(w.Name, label,
@@ -103,17 +98,11 @@ func AblationCU(o Options, blockBytes int) error {
 				fmt.Sprintf("%.2f", float64(TrafficOf(res, g))/refs))
 		}
 	}
-	failNote(tb, fails, func(i int) string {
-		return fmt.Sprintf("%s %s", ws[i/len(labels)].Name, labels[i%len(labels)])
-	})
 	if o.CSV {
-		if err := tb.CSV(o.Out); err != nil {
-			return err
-		}
-		return partialErr(fails)
+		return tb.CSV(o.Out)
 	}
 	tb.Fprint(o.Out)
-	return partialErr(fails)
+	return nil
 }
 
 // SectorSizes is the default coherence-grain sweep for AblationSector, in
@@ -145,7 +134,7 @@ func AblationSector(o Options, blockBytes int) error {
 			sectors = append(sectors, sector)
 		}
 	}
-	cells, fails, err := runVariants(o, ws, len(sectors), true,
+	cells, err := runVariants(o, ws, len(sectors), true,
 		func(w *workload.Workload, j int) (coherence.Simulator, error) {
 			return coherence.NewSectored(w.Procs, g, sectors[j])
 		})
@@ -157,10 +146,6 @@ func AblationSector(o Options, blockBytes int) error {
 	tb := report.NewTable("workload", "sector", "miss%", "TRUE%", "FALSE%")
 	for wi, w := range ws {
 		for j := range sectors {
-			if fails.Failed(wi*len(sectors)+j) != nil {
-				tb.Rowf(w.Name, fmt.Sprintf("SEC-%d", sectors[j]), "FAILED")
-				continue
-			}
 			res := cells[wi*len(sectors)+j]
 			tb.Rowf(w.Name, res.Protocol,
 				pct(res.MissRate()),
@@ -168,17 +153,11 @@ func AblationSector(o Options, blockBytes int) error {
 				pct(core.Rate(res.Counts.PFS, res.DataRefs)))
 		}
 	}
-	failNote(tb, fails, func(i int) string {
-		return fmt.Sprintf("%s SEC-%d", ws[i/len(sectors)].Name, sectors[i%len(sectors)])
-	})
 	if o.CSV {
-		if err := tb.CSV(o.Out); err != nil {
-			return err
-		}
-		return partialErr(fails)
+		return tb.CSV(o.Out)
 	}
 	tb.Fprint(o.Out)
-	return partialErr(fails)
+	return nil
 }
 
 // BufferSizes is the default sweep for AblationWBWI, in buffered words per
@@ -211,7 +190,7 @@ func AblationWBWI(o Options, blockBytes int) error {
 			labels[j] = fmt.Sprintf("%d words", entries)
 		}
 	}
-	cells, fails, err := runVariants(o, ws, len(BufferSizes), false,
+	cells, err := runVariants(o, ws, len(BufferSizes), false,
 		func(w *workload.Workload, j int) (coherence.Simulator, error) {
 			if BufferSizes[j] == 0 {
 				return coherence.NewWBWI(w.Procs, g), nil
@@ -228,17 +207,9 @@ func AblationWBWI(o Options, blockBytes int) error {
 	for wi, w := range ws {
 		base := wi * len(BufferSizes)
 		results := cells[base : base+len(BufferSizes)]
-		// The unlimited baseline is the last variant; if that cell failed,
-		// the relative column has no denominator for this workload.
-		unlimited := 0.0
-		if fails.Failed(base+len(BufferSizes)-1) == nil {
-			unlimited = results[len(results)-1].MissRate()
-		}
+		// The unlimited baseline is the last variant.
+		unlimited := results[len(results)-1].MissRate()
 		for j, res := range results {
-			if fails.Failed(base+j) != nil {
-				tb.Rowf(w.Name, labels[j], "FAILED")
-				continue
-			}
 			rel := "n/a"
 			if unlimited > 0 {
 				rel = fmt.Sprintf("%+.0f%%", 100*(res.MissRate()-unlimited)/unlimited)
@@ -246,15 +217,9 @@ func AblationWBWI(o Options, blockBytes int) error {
 			tb.Rowf(w.Name, labels[j], pct(res.MissRate()), rel)
 		}
 	}
-	failNote(tb, fails, func(i int) string {
-		return fmt.Sprintf("%s %s", ws[i/len(BufferSizes)].Name, labels[i%len(BufferSizes)])
-	})
 	if o.CSV {
-		if err := tb.CSV(o.Out); err != nil {
-			return err
-		}
-		return partialErr(fails)
+		return tb.CSV(o.Out)
 	}
 	tb.Fprint(o.Out)
-	return partialErr(fails)
+	return nil
 }

@@ -32,10 +32,10 @@ func Compare(o Options, blockBytes int) error {
 		return err
 	}
 	cache := o.traceCache()
-	cells, fails, err := mapCells(o, len(ws), func(ctx context.Context, i int) (core.CrossCounts, error) {
+	cells, err := mapCells(o, len(ws), func(ctx context.Context, i int) (core.CrossCounts, error) {
 		w := ws[i]
 		defer replaySpan(ctx, w.Name, "cross", blockBytes).End()
-		r, err := cache.ReaderContext(ctx, w.Name)
+		r, err := o.reader(ctx, cache, w.Name)
 		if err != nil {
 			return core.CrossCounts{}, err
 		}
@@ -52,10 +52,6 @@ func Compare(o Options, blockBytes int) error {
 
 	fmt.Fprintf(o.Out, "Joint classification of every miss (B=%d bytes): ours vs. the earlier schemes\n", blockBytes)
 	for wi, w := range ws {
-		if ce := fails.Failed(wi); ce != nil {
-			fmt.Fprintf(o.Out, "\n%s FAILED: %s\n", w.Name, firstErrLine(ce.Err))
-			continue
-		}
 		matrix := cells[wi]
 		fmt.Fprintf(o.Out, "\n%s (%d misses)\n", w.Name, matrix.Total())
 		for _, pair := range []struct {
@@ -84,5 +80,5 @@ func Compare(o Options, blockBytes int) error {
 			fmt.Fprintf(o.Out, "misses carrying needed values that Torrellas calls FSM or CM: %d\n", hidden)
 		}
 	}
-	return partialErr(fails)
+	return nil
 }

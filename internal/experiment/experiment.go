@@ -15,7 +15,6 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 
@@ -68,9 +67,8 @@ type Options struct {
 	Parallelism int
 	// TraceFiles binds workloads to packed trace files (the CLI's
 	// -trace-file flag): bound workloads replay out-of-core from their
-	// files instead of regenerating — through a file reader of their own
-	// in the fused cells (see source), and streamed through the trace
-	// cache everywhere else. Nil means every workload generates.
+	// files instead of regenerating, every cell through a file reader of
+	// its own (see source). Nil means every workload generates.
 	TraceFiles *TraceFileSet
 	// Cache shares materialized workload traces across driver calls
 	// (regen runs every artifact off one cache). Nil gives each driver
@@ -81,10 +79,6 @@ type Options struct {
 	// at batch granularity inside every cell replay, so an interrupted
 	// driver returns ctx.Err() within one batch of references.
 	Ctx context.Context
-	// KeepGoing renders partial reports with failed cells marked FAILED
-	// (and a footer note naming the failures) instead of aborting the
-	// driver at the first cell error (the CLI's -keep-going flag).
-	KeepGoing bool
 }
 
 // Default returns Options writing to out.
@@ -107,10 +101,6 @@ func (o Options) blocks(def []int) []int {
 	return def
 }
 
-func (o Options) sweepOpts() sweep.Options {
-	return sweep.Options{Parallelism: o.Parallelism, KeepGoing: o.KeepGoing}
-}
-
 // ctx returns the run context, never nil.
 func (o Options) ctx() context.Context {
 	if o.Ctx != nil {
@@ -122,14 +112,10 @@ func (o Options) ctx() context.Context {
 // traceCache returns the shared cache, or a fresh one scoped to the
 // current driver call.
 func (o Options) traceCache() *sweep.TraceCache {
-	c := o.Cache
-	if c == nil {
-		c = NewTraceCache()
+	if o.Cache != nil {
+		return o.Cache
 	}
-	// Re-registering the same stream openers on a shared cache is
-	// idempotent, so every driver call may wire its trace files in.
-	o.TraceFiles.register(c)
-	return c
+	return NewTraceCache()
 }
 
 // NewTraceCache returns a trace cache over the workload registry, suitable
@@ -152,64 +138,11 @@ func openWorkloadTrace(name string) (trace.Reader, error) {
 // under the run's cancellation context, and returns the results in
 // deterministic cell order. Cell functions receive the sweep's per-cell
 // context and must thread it into their replays; they must not touch
-// Options.Out — rendering happens after mapCells returns.
-//
-// In keep-going mode cell failures come back as the *sweep.Failures second
-// result (with the result slice intact at every non-failed index) so the
-// driver can render a partial report; any other error — including
-// cancellation — aborts the driver.
-func mapCells[T any](o Options, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, *sweep.Failures, error) {
-	res, err := sweep.Run(o.ctx(), n, o.sweepOpts(), fn)
-	if fails := sweep.AsFailures(err); fails != nil {
-		return res, fails, nil
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, nil, nil
-}
-
-// ErrPartial marks a keep-going run that finished with failed cells: the
-// report was rendered (with the failed cells marked FAILED), but it is not
-// the complete grid. The CLI maps it to a distinct exit code so scripts can
-// tell a partial report from a clean one; the underlying cell errors stay
-// reachable through sweep.AsFailures.
-var ErrPartial = errors.New("partial results: some sweep cells failed")
-
-// partialErr converts a keep-going failure set into the driver's return
-// value: nil for a complete grid, an error wrapping both ErrPartial and the
-// failures otherwise. Drivers return it after rendering, so the report is
-// on Out even when the error is non-nil.
-func partialErr(fails *sweep.Failures) error {
-	if fails.Len() == 0 {
-		return nil
-	}
-	return fmt.Errorf("%w: %w", ErrPartial, fails)
-}
-
-// failNote appends the standard partial-report footer for a keep-going run
-// with failures: one line naming the count, then one line per failed cell
-// with its grid coordinates and first error line. No-op when fails is nil.
-func failNote(t interface{ Notef(string, ...any) }, fails *sweep.Failures, cellName func(i int) string) {
-	if fails.Len() == 0 {
-		return
-	}
-	t.Notef("PARTIAL: %d of the sweep cells failed; failed cells are marked FAILED", fails.Len())
-	for _, ce := range fails.Cells {
-		t.Notef("  failed %s: %v", cellName(ce.Cell), firstErrLine(ce.Err))
-	}
-}
-
-// firstErrLine renders err's first line (panic CellErrors carry multi-line
-// stacks that belong in logs, not table footers).
-func firstErrLine(err error) string {
-	s := err.Error()
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[:i]
-		}
-	}
-	return s
+// Options.Out — rendering happens after mapCells returns. The first cell
+// error, or the run's cancellation, aborts the driver before anything is
+// rendered.
+func mapCells[T any](o Options, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+	return sweep.Run(o.ctx(), n, sweep.Options{Parallelism: o.Parallelism}, fn)
 }
 
 // getWorkloads resolves every name up front so validation errors surface
@@ -227,47 +160,11 @@ func getWorkloads(names []string) ([]*workload.Workload, error) {
 }
 
 // flattenGroups lays per-group cell slices out on the flat per-cell grid:
-// group gi's cells land at [gi*per, (gi+1)*per). Failed groups (nil slices)
-// leave zero values, which the renderers skip via the expanded failures.
+// group gi's cells land at [gi*per, (gi+1)*per).
 func flattenGroups[T any](groups [][]T, per int) []T {
 	out := make([]T, len(groups)*per)
 	for gi, g := range groups {
 		copy(out[gi*per:(gi+1)*per], g)
-	}
-	return out
-}
-
-// expandGroupFailures maps the failures of a group-per-workload sweep onto
-// the flat per-cell grid: a failed group marks every one of its cells
-// failed with the group's error, so the keep-going rendering path is the
-// same one the per-cell sweep uses.
-func expandGroupFailures(gFails *sweep.Failures, per int) *sweep.Failures {
-	if gFails == nil {
-		return nil
-	}
-	out := &sweep.Failures{}
-	for _, ce := range gFails.Cells {
-		for j := 0; j < per; j++ {
-			out.Cells = append(out.Cells, &sweep.CellError{Cell: ce.Cell*per + j, Err: ce.Err, Stack: ce.Stack})
-		}
-	}
-	return out
-}
-
-// firstFailurePerGroup maps the failures of a sweep whose cells come in
-// groups of per (Table 1's three schemes of one workload) onto the groups:
-// a group fails with its first failed cell's error.
-func firstFailurePerGroup(fails *sweep.Failures, per int) *sweep.Failures {
-	if fails == nil {
-		return nil
-	}
-	out := &sweep.Failures{}
-	for _, ce := range fails.Cells {
-		g := ce.Cell / per
-		if n := len(out.Cells); n > 0 && out.Cells[n-1].Cell == g {
-			continue
-		}
-		out.Cells = append(out.Cells, &sweep.CellError{Cell: g, Err: ce.Err, Stack: ce.Stack})
 	}
 	return out
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/report"
-	"repro/internal/sweep"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -45,14 +44,10 @@ func Fig5(o Options) error {
 	// One fused sweep cell per workload: a single pass over the trace feeds
 	// every block size at once.
 	cache := o.traceCache()
-	groups, gFails, err := mapCells(o, len(ws), func(ctx context.Context, wi int) ([]fig5Cell, error) {
+	groups, err := mapCells(o, len(ws), func(ctx context.Context, wi int) ([]fig5Cell, error) {
 		w := ws[wi]
 		defer replaySpan(ctx, w.Name, "fused", 0).End()
-		open, err := o.source(ctx, cache, w.Name)
-		if err != nil {
-			return nil, err
-		}
-		r, err := open()
+		r, err := o.reader(ctx, cache, w.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -70,24 +65,18 @@ func Fig5(o Options) error {
 	if err != nil {
 		return err
 	}
-	return renderFig5(o, ws, blocks, flattenGroups(groups, len(blocks)), expandGroupFailures(gFails, len(blocks)))
+	return renderFig5(o, ws, blocks, flattenGroups(groups, len(blocks)))
 }
 
 // renderFig5 writes the Fig. 5 report for the (workload, block) grid cells,
 // laid out workload-major.
-func renderFig5(o Options, ws []*workload.Workload, blocks []int, cells []fig5Cell, fails *sweep.Failures) error {
+func renderFig5(o Options, ws []*workload.Workload, blocks []int, cells []fig5Cell) error {
 	fmt.Fprintln(o.Out, "Figure 5: miss classification vs. block size (% of data references)")
 	for wi, w := range ws {
 		fmt.Fprintf(o.Out, "\n%s — %s\n", w.Name, w.Description)
 		tb := report.NewTable("B(bytes)", "PC", "CTS", "CFS", "PTS", "PFS", "essential", "total")
 		chart := &report.BarChart{Unit: "%"}
-		wFails := &sweep.Failures{}
 		for bi, b := range blocks {
-			if ce := fails.Failed(wi*len(blocks) + bi); ce != nil {
-				tb.Rowf(b, "FAILED")
-				wFails.Cells = append(wFails.Cells, ce)
-				continue
-			}
 			cell := cells[wi*len(blocks)+bi]
 			counts, refs := cell.counts, cell.refs
 			tb.Rowf(b,
@@ -105,9 +94,6 @@ func renderFig5(o Options, ws []*workload.Workload, blocks []int, cells []fig5Ce
 				report.Segment{Label: "FALSE", Value: core.Rate(counts.PFS, refs)},
 			)
 		}
-		failNote(tb, wFails, func(i int) string {
-			return fmt.Sprintf("%s B=%d", ws[i/len(blocks)].Name, blocks[i%len(blocks)])
-		})
 		if o.CSV {
 			if err := tb.CSV(o.Out); err != nil {
 				return err
@@ -118,5 +104,5 @@ func renderFig5(o Options, ws []*workload.Workload, blocks []int, cells []fig5Ce
 		fmt.Fprintln(o.Out)
 		chart.Fprint(o.Out)
 	}
-	return partialErr(fails)
+	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/report"
-	"repro/internal/sweep"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -46,7 +45,7 @@ func Fig6(o Options, blockBytes int) error {
 	// One fused sweep cell per workload: a single pass over the trace drives
 	// every protocol's simulator at once.
 	cache := o.traceCache()
-	groups, gFails, err := mapCells(o, len(ws), func(ctx context.Context, wi int) ([]coherence.Result, error) {
+	groups, err := mapCells(o, len(ws), func(ctx context.Context, wi int) ([]coherence.Result, error) {
 		w := ws[wi]
 		defer replaySpan(ctx, w.Name, "fused-protocols", blockBytes).End()
 		open, err := o.source(ctx, cache, w.Name)
@@ -58,25 +57,19 @@ func Fig6(o Options, blockBytes int) error {
 	if err != nil {
 		return err
 	}
-	return renderFig6(o, blockBytes, ws, protos, flattenGroups(groups, len(protos)), expandGroupFailures(gFails, len(protos)))
+	return renderFig6(o, blockBytes, ws, protos, flattenGroups(groups, len(protos)))
 }
 
 // renderFig6 writes the Fig. 6 panel for the (workload, protocol) grid
 // cells, laid out workload-major.
-func renderFig6(o Options, blockBytes int, ws []*workload.Workload, protos []string, cells []coherence.Result, fails *sweep.Failures) error {
+func renderFig6(o Options, blockBytes int, ws []*workload.Workload, protos []string, cells []coherence.Result) error {
 	fmt.Fprintf(o.Out, "Figure 6 (B=%d bytes): effect of invalidation scheduling on the miss rate\n", blockBytes)
 	for wi, w := range ws {
 		results := cells[wi*len(protos) : (wi+1)*len(protos)]
 		fmt.Fprintf(o.Out, "\n%s\n", w.Name)
 		tb := report.NewTable("protocol", "miss%", "TRUE%", "COLD%", "FALSE%", "invalidations", "upgrades")
 		chart := &report.BarChart{Unit: "%"}
-		wFails := &sweep.Failures{}
-		for pi, res := range results {
-			if ce := fails.Failed(wi*len(protos) + pi); ce != nil {
-				tb.Rowf(protos[pi], "FAILED")
-				wFails.Cells = append(wFails.Cells, ce)
-				continue
-			}
+		for _, res := range results {
 			c := res.Counts
 			tb.Rowf(res.Protocol,
 				pct(res.MissRate()),
@@ -95,9 +88,6 @@ func renderFig6(o Options, blockBytes int, ws []*workload.Workload, protos []str
 					report.Segment{Label: "FALSE", Value: core.Rate(c.PFS, res.DataRefs)})
 			}
 		}
-		failNote(tb, wFails, func(i int) string {
-			return fmt.Sprintf("%s %s", ws[i/len(protos)].Name, protos[i%len(protos)])
-		})
 		if o.CSV {
 			if err := tb.CSV(o.Out); err != nil {
 				return err
@@ -108,7 +98,7 @@ func renderFig6(o Options, blockBytes int, ws []*workload.Workload, protos []str
 		fmt.Fprintln(o.Out)
 		chart.Fprint(o.Out)
 	}
-	return partialErr(fails)
+	return nil
 }
 
 // runProtocols replays one generation of the workload trace through all the

@@ -38,7 +38,7 @@ var fusedDrivers = []struct {
 					cells = append(cells, fig5Cell{counts: counts, refs: refs})
 				}
 			}
-			return renderFig5(o, ws, blocks, cells, nil)
+			return renderFig5(o, ws, blocks, cells)
 		}},
 	{"Fig6", func(o Options) error { return Fig6(o, 64) },
 		func(t *testing.T, o Options, ws []*workload.Workload) error {
@@ -50,7 +50,7 @@ var fusedDrivers = []struct {
 				}
 				cells = append(cells, res...)
 			}
-			return renderFig6(o, 64, ws, o.Protocols, cells, nil)
+			return renderFig6(o, 64, ws, o.Protocols, cells)
 		}},
 	{"Table1", Table1,
 		func(t *testing.T, o Options, ws []*workload.Workload) error {
@@ -78,7 +78,7 @@ var fusedDrivers = []struct {
 				}
 				cells = append(cells, ours, eggers, torr)
 			}
-			return renderTable1(o, ws, blocks, cells, nil)
+			return renderTable1(o, ws, blocks, cells)
 		}},
 }
 

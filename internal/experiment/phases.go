@@ -38,10 +38,10 @@ func Phases(o Options, blockBytes, buckets int) error {
 		return err
 	}
 	cache := o.traceCache()
-	cells, fails, err := mapCells(o, len(ws), func(ctx context.Context, i int) (phasesCell, error) {
+	cells, err := mapCells(o, len(ws), func(ctx context.Context, i int) (phasesCell, error) {
 		w := ws[i]
 		defer replaySpan(ctx, w.Name, "phases", blockBytes).End()
-		r, err := cache.ReaderContext(ctx, w.Name)
+		r, err := o.reader(ctx, cache, w.Name)
 		if err != nil {
 			return phasesCell{}, err
 		}
@@ -58,10 +58,6 @@ func Phases(o Options, blockBytes, buckets int) error {
 
 	fmt.Fprintf(o.Out, "Miss classification over computation phases (B=%d bytes)\n", blockBytes)
 	for wi, w := range ws {
-		if ce := fails.Failed(wi); ce != nil {
-			fmt.Fprintf(o.Out, "\n%s FAILED: %s\n", w.Name, firstErrLine(ce.Err))
-			continue
-		}
 		points, tail := cells[wi].points, cells[wi].tail
 		fmt.Fprintf(o.Out, "\n%s (%d phases)\n", w.Name, len(points))
 		tb := report.NewTable("phases", "refs", "cold", "PTS", "PFS", "miss%")
@@ -89,7 +85,7 @@ func Phases(o Options, blockBytes, buckets int) error {
 		}
 		tb.Fprint(o.Out)
 	}
-	return partialErr(fails)
+	return nil
 }
 
 type phaseBucket struct {

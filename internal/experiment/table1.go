@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/report"
-	"repro/internal/sweep"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -70,8 +69,7 @@ func classifyScheme(ctx context.Context, scheme string, r trace.Reader, procs in
 // sets are used instead (and no paper reference column is available). Each
 // (workload, scheme) pair is one sweep cell whose fused replay drives that
 // scheme's classifier at both block sizes off a reader of its own, so a
-// workload's three schemes replay concurrently. A workload with any failed
-// scheme cell has both of its block rows marked FAILED.
+// workload's three schemes replay concurrently.
 func Table1(o Options) error {
 	defer driverSpan("table1").End()
 	defaults := []string{"LU200", "MP3D10000"}
@@ -101,14 +99,10 @@ func Table1(o Options) error {
 	// (DESIGN.md §12).
 	cache := o.traceCache()
 	nS := len(table1Schemes)
-	cells, sFails, err := mapCells(o, len(ws)*nS, func(ctx context.Context, i int) ([][3]uint64, error) {
+	cells, err := mapCells(o, len(ws)*nS, func(ctx context.Context, i int) ([][3]uint64, error) {
 		w, scheme := ws[i/nS], table1Schemes[i%nS]
 		defer replaySpan(ctx, w.Name, scheme, 0).End()
-		open, err := o.source(ctx, cache, w.Name)
-		if err != nil {
-			return nil, err
-		}
-		r, err := open()
+		r, err := o.reader(ctx, cache, w.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -117,23 +111,19 @@ func Table1(o Options) error {
 	if err != nil {
 		return err
 	}
-	return renderTable1(o, ws, blocks, cells, expandGroupFailures(firstFailurePerGroup(sFails, nS), len(blocks)))
+	return renderTable1(o, ws, blocks, cells)
 }
 
 // renderTable1 writes Table 1 laid out workload-major: cells holds one
 // entry per (workload, scheme) cell with one (true, cold, false) triple
-// per block, and fails marks the failed (workload, block) rows.
-func renderTable1(o Options, ws []*workload.Workload, blocks []int, cells [][][3]uint64, fails *sweep.Failures) error {
+// per block.
+func renderTable1(o Options, ws []*workload.Workload, blocks []int, cells [][][3]uint64) error {
 	fmt.Fprintln(o.Out, "Table 1: miss counts under the three classifications")
 	fmt.Fprintln(o.Out)
 	tb := report.NewTable("workload", "B", "class", "scheme", "misses", "paper")
 	nS := len(table1Schemes)
 	for wi, w := range ws {
 		for bi, b := range blocks {
-			if fails.Failed(wi*len(blocks)+bi) != nil {
-				tb.Rowf(w.Name, b, "FAILED")
-				continue
-			}
 			classes := [3]string{"TS", "COLD", "FS"}
 			for ci, class := range classes {
 				for si, scheme := range table1Schemes {
@@ -146,18 +136,12 @@ func renderTable1(o Options, ws []*workload.Workload, blocks []int, cells [][][3
 			}
 		}
 	}
-	failNote(tb, fails, func(i int) string {
-		return fmt.Sprintf("%s B=%d", ws[i/len(blocks)].Name, blocks[i%len(blocks)])
-	})
 	if o.CSV {
-		if err := tb.CSV(o.Out); err != nil {
-			return err
-		}
-		return partialErr(fails)
+		return tb.CSV(o.Out)
 	}
 	tb.Fprint(o.Out)
 	fmt.Fprintln(o.Out)
 	fmt.Fprintln(o.Out, "Eggers' scheme can only under-count true sharing relative to ours;")
 	fmt.Fprintln(o.Out, "Torrellas' counts many sharing misses as cold (word-grain first touch).")
-	return partialErr(fails)
+	return nil
 }

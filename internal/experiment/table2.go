@@ -40,10 +40,10 @@ func Table2(o Options) error {
 		return err
 	}
 	cache := o.traceCache()
-	cells, fails, err := mapCells(o, len(ws), func(ctx context.Context, i int) (*trace.Stats, error) {
+	cells, err := mapCells(o, len(ws), func(ctx context.Context, i int) (*trace.Stats, error) {
 		w := ws[i]
 		defer replaySpan(ctx, w.Name, "stats", 0).End()
-		r, err := cache.ReaderContext(ctx, w.Name)
+		r, err := o.reader(ctx, cache, w.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -62,10 +62,6 @@ func Table2(o Options) error {
 	tb := report.NewTable("benchmark", "speedup", "writes(k)", "reads(k)", "acq/rel(k)", "data(KB)")
 	for wi, w := range ws {
 		name := w.Name
-		if fails.Failed(wi) != nil {
-			tb.Row(name, "FAILED")
-			continue
-		}
 		s := cells[wi]
 		paper, ok := table2Paper[name]
 		cell := func(measured float64, idx int, format string) string {
@@ -82,13 +78,9 @@ func Table2(o Options) error {
 			cell(float64(s.DataSetBytes())/1024, 4, "%.0f"),
 		)
 	}
-	failNote(tb, fails, func(i int) string { return ws[i].Name })
 	if o.CSV {
-		if err := tb.CSV(o.Out); err != nil {
-			return err
-		}
-		return partialErr(fails)
+		return tb.CSV(o.Out)
 	}
 	tb.Fprint(o.Out)
-	return partialErr(fails)
+	return nil
 }

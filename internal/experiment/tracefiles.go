@@ -13,9 +13,8 @@ import (
 
 // TraceFileSet binds workload names to opened packed trace files (the
 // CLI's -trace-file NAME=PATH bindings). A bound workload replays from its
-// file instead of regenerating: the fused cells open file readers directly
-// (see Options.source), and every other replay streams the file through the
-// trace cache's out-of-core bypass. Close the set when the run is done.
+// file instead of regenerating: every cell opens a file reader of its own
+// (see Options.source). Close the set when the run is done.
 type TraceFileSet struct {
 	files map[string]*tracestore.File
 	paths map[string]string
@@ -55,7 +54,7 @@ func OpenTraceFiles(specs map[string]string) (*TraceFileSet, error) {
 
 // TraceFileInfo identifies one opened trace-file binding for provenance
 // manifests: the workload, the file's path and size, and the TOC digest —
-// the content hash 'trace pack' reports and -resume checkpoints verify.
+// the content hash 'trace pack' reports.
 type TraceFileInfo struct {
 	Workload  string `json:"workload"`
 	Path      string `json:"path"`
@@ -121,29 +120,23 @@ func (s *TraceFileSet) Close() error {
 	return first
 }
 
-// register wires every bound file into the cache as a stream-only source,
-// so all the cache-fed replay paths (the finite-cache sweep and the
-// drivers that do not use Options.source) read from the file with
-// O(segment) resident memory instead of materializing or regenerating.
-// Safe on a nil set.
-func (s *TraceFileSet) register(c *sweep.TraceCache) {
-	if s == nil {
-		return
-	}
-	for name, f := range s.files {
-		f := f
-		c.Stream(name, func() (trace.Reader, error) { return f.Reader(), nil })
-	}
-}
-
-// source resolves the reader factory a fused cell replays one workload's
-// trace from. A file-backed workload opens a reader over the whole file
-// directly, bypassing the cache, so the cell moves no cache counter;
-// anything else takes the cache's source factory (an in-memory replay or a
-// fresh generation).
+// source resolves the reader factory a cell replays one workload's trace
+// from. A file-backed workload opens a reader over the whole file directly,
+// bypassing the cache, so the cell moves no cache counter and keeps
+// O(segment) resident memory; anything else takes the cache's source
+// factory (an in-memory replay or a fresh generation).
 func (o Options) source(ctx context.Context, cache *sweep.TraceCache, name string) (func() (trace.Reader, error), error) {
 	if f := o.TraceFiles.File(name); f != nil {
 		return func() (trace.Reader, error) { return f.ReaderContext(ctx), nil }, nil
 	}
 	return cache.SourceContext(ctx, name)
+}
+
+// reader opens one reader over a workload's trace from its source.
+func (o Options) reader(ctx context.Context, cache *sweep.TraceCache, name string) (trace.Reader, error) {
+	open, err := o.source(ctx, cache, name)
+	if err != nil {
+		return nil, err
+	}
+	return open()
 }

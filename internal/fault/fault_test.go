@@ -25,9 +25,8 @@ import (
 // parGrid is the -j values every fault must survive.
 var parGrid = []int{1, 8}
 
-// gridName names a parGrid case. The "shards1" is kept from when the grid
-// also ran block-sharded cells: each cell is one serial drive.
-func gridName(par int) string { return fmt.Sprintf("j%d_shards1", par) }
+// gridName names a parGrid case.
+func gridName(par int) string { return fmt.Sprintf("j%d", par) }
 
 // testTrace builds the deterministic shared-access trace the suite replays:
 // 4 processors alternating loads and stores over a shared region, with
@@ -82,9 +81,9 @@ func classify(ctx context.Context, r trace.Reader) (core.Counts, error) {
 
 // classifySweep runs cells sweep cells at the given parallelism, where each
 // cell classifies the reader open returns for it.
-func classifySweep(ctx context.Context, cells, par int, keepGoing bool,
+func classifySweep(ctx context.Context, cells, par int,
 	open func(cell int) trace.Reader) ([]core.Counts, error) {
-	return sweep.Run(ctx, cells, sweep.Options{Parallelism: par, KeepGoing: keepGoing},
+	return sweep.Run(ctx, cells, sweep.Options{Parallelism: par},
 		func(ctx context.Context, i int) (core.Counts, error) {
 			return classify(ctx, open(i))
 		})
@@ -99,7 +98,7 @@ func TestErrorAfterPropagates(t *testing.T) {
 		t.Run(gridName(par), func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			cause := errors.New("disk on fire")
-			_, err := classifySweep(context.Background(), 4, par, false,
+			_, err := classifySweep(context.Background(), 4, par,
 				func(int) trace.Reader { return fault.ErrorAfter(tr.Reader(), 100, cause) })
 			if !errors.Is(err, fault.ErrInjected) {
 				t.Errorf("errors.Is(err, ErrInjected) = false for %v", err)
@@ -119,75 +118,28 @@ func TestErrorAfterPropagates(t *testing.T) {
 	}
 }
 
-// TestKeepGoingIsolatesFailedCells: with keep-going, a failing cell is
-// quarantined into *sweep.Failures while its siblings' results come back
-// intact and bit-identical to a clean run; the failed cell's slot stays
-// zero — a partial grid is never passed off as complete.
-func TestKeepGoingIsolatesFailedCells(t *testing.T) {
-	tr := testTrace()
-	clean, err := classify(context.Background(), tr.Reader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range parGrid {
-		t.Run(gridName(par), func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			const cells = 6
-			res, err := classifySweep(context.Background(), cells, par, true,
-				func(i int) trace.Reader {
-					if i%2 == 0 {
-						return fault.ErrorAfter(tr.Reader(), 50, nil)
-					}
-					return tr.Reader()
-				})
-			fails := sweep.AsFailures(err)
-			if fails == nil {
-				t.Fatalf("want *sweep.Failures, got %v", err)
-			}
-			if fails.Len() != cells/2 {
-				t.Errorf("Len() = %d, want %d", fails.Len(), cells/2)
-			}
-			if !errors.Is(err, fault.ErrInjected) {
-				t.Errorf("injected sentinel lost through Failures: %v", err)
-			}
-			for i := 0; i < cells; i++ {
-				failed := fails.Failed(i) != nil
-				if failed != (i%2 == 0) {
-					t.Errorf("cell %d: Failed = %v, want %v", i, failed, i%2 == 0)
-				}
-				if failed && res[i] != (core.Counts{}) {
-					t.Errorf("cell %d failed but has non-zero counts %+v", i, res[i])
-				}
-				if !failed && res[i] != clean {
-					t.Errorf("cell %d: counts %+v differ from clean run %+v", i, res[i], clean)
-				}
-			}
-			waitForGoroutines(t, base)
-		})
-	}
-}
-
 // TestScrambledProcsPanicIsRecovered: a corrupted processor id panics the
-// classifier; the sweep engine must turn that panic into a typed CellError
+// classifier; the sweep engine must fail the sweep with a typed CellError
 // carrying the stack instead of crashing the process.
 func TestScrambledProcsPanicIsRecovered(t *testing.T) {
 	tr := testTrace()
 	for _, par := range parGrid {
-		t.Run(fmt.Sprintf("j%d", par), func(t *testing.T) {
+		t.Run(gridName(par), func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			_, err := classifySweep(context.Background(), 4, par, true,
+			res, err := classifySweep(context.Background(), 4, par,
 				func(int) trace.Reader { return fault.ScrambleProcs(tr.Reader(), 200) })
-			fails := sweep.AsFailures(err)
-			if fails == nil {
-				t.Fatalf("want *sweep.Failures, got %v", err)
-			}
 			if !errors.Is(err, sweep.ErrCellPanic) {
 				t.Errorf("errors.Is(err, ErrCellPanic) = false for %v", err)
 			}
-			for _, ce := range fails.Cells {
-				if len(ce.Stack) == 0 {
-					t.Errorf("cell %d: panic CellError has no stack", ce.Cell)
-				}
+			var ce *sweep.CellError
+			if !errors.As(err, &ce) {
+				t.Fatalf("errors.As(err, *sweep.CellError) = false for %v", err)
+			}
+			if len(ce.Stack) == 0 {
+				t.Errorf("cell %d: panic CellError has no stack", ce.Cell)
+			}
+			if res != nil {
+				t.Errorf("panicked sweep returned results %v", res)
 			}
 			waitForGoroutines(t, base)
 		})
@@ -208,7 +160,7 @@ func TestStallDrainsOnCancel(t *testing.T) {
 				cancel()
 			}()
 			start := time.Now()
-			_, err := classifySweep(ctx, 4, par, false,
+			_, err := classifySweep(ctx, 4, par,
 				func(int) trace.Reader { return fault.Stall(tr.Reader(), 64, time.Millisecond) })
 			if elapsed := time.Since(start); elapsed > 2*time.Second {
 				t.Errorf("cancellation took %v, want < 2s", elapsed)
@@ -224,11 +176,10 @@ func TestStallDrainsOnCancel(t *testing.T) {
 
 // TestFlakyClosePropagates: the replay pumps promise to surface the
 // reader's close error when the stream itself drained cleanly; a flaky
-// Close must therefore fail the run with the typed error. The one case
-// keeps its "shards1" name, as in gridName.
+// Close must therefore fail the run with the typed error.
 func TestFlakyClosePropagates(t *testing.T) {
 	tr := testTrace()
-	t.Run("shards1", func(t *testing.T) {
+	t.Run("serial_drive", func(t *testing.T) {
 		base := runtime.NumGoroutine()
 		_, err := classify(context.Background(), fault.FlakyClose(tr.Reader(), nil))
 		if !errors.Is(err, fault.ErrInjected) {
@@ -268,14 +219,14 @@ func TestCorruptAddrsIsDeterministicAndVisible(t *testing.T) {
 	}
 }
 
-// TestFailFastNeverReturnsPartialResults: without keep-going, a failing
-// cell aborts the sweep and the result slice is withheld entirely — the
-// caller can never mistake a partial grid for a complete one.
+// TestFailFastNeverReturnsPartialResults: a failing cell aborts the sweep
+// and the result slice is withheld entirely — the caller can never mistake
+// a partial grid for a complete one.
 func TestFailFastNeverReturnsPartialResults(t *testing.T) {
 	tr := testTrace()
 	for _, par := range parGrid {
 		t.Run(gridName(par), func(t *testing.T) {
-			res, err := classifySweep(context.Background(), 6, par, false,
+			res, err := classifySweep(context.Background(), 6, par,
 				func(i int) trace.Reader {
 					if i == 3 {
 						return fault.ErrorAfter(tr.Reader(), 10, nil)

@@ -236,7 +236,6 @@ const (
 	NameCacheHits      = "sweep.cache.hits"
 	NameCacheMisses    = "sweep.cache.misses"
 	NameCacheStreamed  = "sweep.cache.streamed"
-	NameCacheEvictions = "sweep.cache.evictions"
 	NameCacheCoalesced = "sweep.cache.coalesced"
 
 	// Classifier and schedule runs (packages core, coherence, finite,

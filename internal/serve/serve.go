@@ -98,9 +98,8 @@ func (c Config) withDefaults() Config {
 }
 
 // ErrDrainForced marks a drain that hit its deadline and force-canceled
-// in-flight jobs. It wraps experiment.ErrPartial so the CLI's established
-// exit-code table maps it to 3 (partial results) without a new code.
-var ErrDrainForced = fmt.Errorf("serve: drain deadline exceeded: %w", experiment.ErrPartial)
+// in-flight jobs; the CLI maps it to exit code 3.
+var ErrDrainForced = errors.New("serve: drain deadline exceeded")
 
 // Server is one serving process: listener, admission controller, shared
 // trace cache and worker pool.
@@ -183,7 +182,7 @@ func (s *Server) Close() error {
 //  5. the listener shuts down last, after the last response is written.
 //
 // A clean drain returns nil (exit 0); a forced drain returns
-// ErrDrainForced, which wraps experiment.ErrPartial (exit 3).
+// ErrDrainForced (exit 3).
 func (s *Server) Run(ctx context.Context) error {
 	obs.SetReady(true)
 	defer obs.SetReady(false)

@@ -430,8 +430,8 @@ func TestDrainReadyzRegression(t *testing.T) {
 }
 
 // TestForcedDrainCancelsJobs: a job still running at the drain deadline is
-// force-canceled with a typed error, and Run reports the forced drain as a
-// partial result (exit 3 via experiment.ErrPartial).
+// force-canceled with a typed error, and Run reports the forced drain as
+// ErrDrainForced (exit 3).
 func TestForcedDrainCancelsJobs(t *testing.T) {
 	ts := startTestServer(t, Config{
 		DrainTimeout: 150 * time.Millisecond,
@@ -452,8 +452,8 @@ func TestForcedDrainCancelsJobs(t *testing.T) {
 	}
 
 	err := ts.drain(t)
-	if !errors.Is(err, ErrDrainForced) || !errors.Is(err, experiment.ErrPartial) {
-		t.Fatalf("forced drain returned %v, want ErrDrainForced wrapping ErrPartial", err)
+	if !errors.Is(err, ErrDrainForced) {
+		t.Fatalf("forced drain returned %v, want ErrDrainForced", err)
 	}
 	r := <-slow
 	if r.status != http.StatusServiceUnavailable || r.code != string(CodeCanceled) {

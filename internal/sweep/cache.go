@@ -15,21 +15,15 @@ import (
 // name, and every other reader is either a hit (fits the budget) or a
 // streamed fallback, regardless of scheduling. Coalesced is a timing
 // metric — how many of the hits arrived while the materialization was
-// still in flight depends on worker interleaving. Evictions exists for
-// forward compatibility and is always 0 today: the cache admits whole
-// traces within a fixed budget and never evicts (over-budget traces are
-// streamed instead).
+// still in flight depends on worker interleaving. The cache admits whole
+// traces within a fixed budget and never evicts: over-budget traces are
+// streamed instead.
 var (
 	mCacheHits      = obs.Default.Counter(obs.NameCacheHits)
 	mCacheMisses    = obs.Default.Counter(obs.NameCacheMisses)
 	mCacheStreamed  = obs.Default.Counter(obs.NameCacheStreamed)
-	mCacheEvictions = obs.Default.Counter(obs.NameCacheEvictions)
 	mCacheCoalesced = obs.Default.TimingCounter(obs.NameCacheCoalesced)
 )
-
-// The evictions counter is registered (and reported as 0) even though the
-// current cache never evicts; assert it stays referenced.
-var _ = mCacheEvictions
 
 // DefaultCacheRefs is the default TraceCache budget: the total number of
 // references the cache may hold in memory across all workloads. At 16
@@ -64,10 +58,9 @@ type TraceCache struct {
 }
 
 type cacheEntry struct {
-	ready  chan struct{}                // closed once materialization settled
-	tr     *trace.Trace                 // nil: stream-only (over budget or failed)
-	stream func() (trace.Reader, error) // non-nil: dedicated stream opener (Stream)
-	err    error                        // opener error, reported to every waiter
+	ready chan struct{} // closed once materialization settled
+	tr    *trace.Trace  // nil: stream-only (over budget or failed)
+	err   error         // opener error, reported to every waiter
 }
 
 // NewTraceCache returns a cache over open holding at most budgetRefs
@@ -83,34 +76,6 @@ func NewTraceCache(budgetRefs int64, open Opener) *TraceCache {
 	}
 }
 
-// Stream registers a dedicated opener for the named trace that bypasses
-// materialization entirely: every later Reader/Source call for name gets a
-// fresh stream from open, never an in-memory copy, and counts as a
-// streamed access. This is the out-of-core hookup — a file-backed trace
-// must replay with O(segment) resident memory no matter how small it is,
-// so admitting it to the in-memory cache would defeat the point.
-// Registering replaces any existing entry (including an already
-// materialized one, whose budget is released).
-func (c *TraceCache) Stream(name string, open func() (trace.Reader, error)) {
-	e := &cacheEntry{ready: make(chan struct{}), stream: open}
-	close(e.ready)
-	c.mu.Lock()
-	if old, ok := c.entries[name]; ok {
-		select {
-		case <-old.ready:
-			if old.tr != nil {
-				c.used -= int64(old.tr.Len())
-			}
-		default:
-			// A materialization is in flight; its entry is simply
-			// superseded — the budget accounting under c.mu happens against
-			// the map, so the displaced entry never charges it.
-		}
-	}
-	c.entries[name] = e
-	c.mu.Unlock()
-}
-
 // Reader returns a reader over the named trace: a replay of the cached
 // in-memory copy when the trace fits the budget, otherwise a fresh stream
 // from the Opener. Readers are independent and safe to drain concurrently.
@@ -121,7 +86,7 @@ func (c *TraceCache) Reader(name string) (trace.Reader, error) {
 // ReaderContext is Reader with a cancellation context: a canceled caller
 // stops waiting on an in-flight materialization, and a materialization
 // aborted by cancellation does not poison the entry — the next caller
-// (e.g. a resumed run over the same cache) retries it.
+// (e.g. a later run over the same cache) retries it.
 func (c *TraceCache) ReaderContext(ctx context.Context, name string) (trace.Reader, error) {
 	src, err := c.SourceContext(ctx, name)
 	if err != nil {
@@ -163,11 +128,6 @@ func (c *TraceCache) SourceContext(ctx context.Context, name string) (func() (tr
 		if e.err != nil {
 			return nil, e.err
 		}
-		if e.stream != nil {
-			c.streamed.Add(1)
-			mCacheStreamed.Inc()
-			return e.stream, nil
-		}
 		if e.tr == nil {
 			c.streamed.Add(1)
 			mCacheStreamed.Inc()
@@ -200,11 +160,7 @@ func (c *TraceCache) SourceContext(ctx context.Context, name string) (func() (tr
 	case complete:
 		e.tr = tr
 		c.mu.Lock()
-		// A Stream registration may have displaced this entry mid-flight;
-		// only the entry still in the map charges the budget.
-		if c.entries[name] == e {
-			c.used += int64(tr.Len())
-		}
+		c.used += int64(tr.Len())
 		c.mu.Unlock()
 	}
 	close(e.ready)

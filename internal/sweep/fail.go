@@ -3,7 +3,6 @@ package sweep
 import (
 	"errors"
 	"fmt"
-	"strings"
 )
 
 // ErrCellPanic is the sentinel wrapped by CellErrors built from a recovered
@@ -11,19 +10,18 @@ import (
 // from one that returned an ordinary error.
 var ErrCellPanic = errors.New("sweep: cell panicked")
 
-// CellError reports the failure of one sweep cell, keeping the cell index
-// so callers can mark the exact table entry that failed. A cell that
-// panicked carries the goroutine stack captured at the recovery site and an
-// Err wrapping ErrCellPanic; a cell that returned an error carries it
-// verbatim. CellError implements Unwrap, so errors.Is/As reach the
-// underlying failure.
+// CellError reports a sweep cell that panicked: Run recovers the panic
+// into a CellError carrying the cell index, an Err wrapping ErrCellPanic
+// and the goroutine stack captured at the recovery site, so a crashed cell
+// fails the sweep with a typed error instead of taking down the process.
+// CellError implements Unwrap, so errors.Is/As reach the underlying
+// failure.
 type CellError struct {
 	// Cell is the cell's index in the sweep grid.
 	Cell int
 	// Err is the underlying failure.
 	Err error
-	// Stack is the worker goroutine's stack at the recovery site; nil
-	// unless the cell panicked.
+	// Stack is the worker goroutine's stack at the recovery site.
 	Stack []byte
 }
 
@@ -37,83 +35,3 @@ func (e *CellError) Error() string {
 
 // Unwrap exposes the underlying failure to errors.Is and errors.As.
 func (e *CellError) Unwrap() error { return e.Err }
-
-// Failures aggregates the failed cells of a keep-going sweep. It is the
-// error returned by Run when Options.KeepGoing is set and at least one cell
-// failed: the result slice is still valid at every non-failed index, and
-// Failed reports cell-level status so renderers can mark the holes.
-type Failures struct {
-	// Cells holds one CellError per failed cell, in ascending cell order.
-	Cells []*CellError
-}
-
-// Error implements error with a one-line summary; the per-cell detail is in
-// Cells.
-func (f *Failures) Error() string {
-	if len(f.Cells) == 1 {
-		return f.Cells[0].Error()
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "sweep: %d cells failed:", len(f.Cells))
-	for _, c := range f.Cells {
-		fmt.Fprintf(&b, "\n  cell %d: %v", c.Cell, firstLine(c.Err.Error()))
-	}
-	return b.String()
-}
-
-// Unwrap exposes every cell error to errors.Is and errors.As.
-func (f *Failures) Unwrap() []error {
-	errs := make([]error, len(f.Cells))
-	for i, c := range f.Cells {
-		errs[i] = c
-	}
-	return errs
-}
-
-// Failed returns cell i's error, or nil if cell i succeeded. It is nil-safe
-// so renderers can call it on the Failures of an all-green run.
-func (f *Failures) Failed(i int) *CellError {
-	if f == nil {
-		return nil
-	}
-	for _, c := range f.Cells {
-		if c.Cell == i {
-			return c
-		}
-	}
-	return nil
-}
-
-// Len returns the number of failed cells, nil-safe.
-func (f *Failures) Len() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.Cells)
-}
-
-// AsFailures extracts a *Failures from err (which may be the *Failures
-// itself or wrap one), or nil.
-func AsFailures(err error) *Failures {
-	var f *Failures
-	if errors.As(err, &f) {
-		return f
-	}
-	return nil
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
-}
-
-// asCellError normalizes a cell failure into a *CellError for aggregation.
-func asCellError(i int, err error) *CellError {
-	var ce *CellError
-	if errors.As(err, &ce) {
-		return ce
-	}
-	return &CellError{Cell: i, Err: err}
-}

@@ -81,12 +81,6 @@ type Options struct {
 	// GOMAXPROCS; 1 runs the cells inline on the calling goroutine,
 	// recovering the serial path exactly.
 	Parallelism int
-	// KeepGoing makes cell failures non-fatal: instead of cancelling the
-	// sweep at the first error, every cell runs, the failed ones are
-	// aggregated into a *Failures error, and the result slice stays valid
-	// at every index that succeeded. Context cancellation still aborts the
-	// sweep.
-	KeepGoing bool
 }
 
 // workers returns the effective pool size for n cells.
@@ -106,13 +100,10 @@ func (o Options) workers(n int) int {
 // parallelism and of scheduling. A panicking cell is recovered into a
 // *CellError instead of crashing the process.
 //
-// By default the first error (lowest cell index among the cells that
-// failed) cancels the context so outstanding cells can stop early and
-// unstarted cells are skipped; Run then reports that error. With
-// Options.KeepGoing every cell runs regardless, and Run returns the intact
-// results alongside a *Failures aggregating the failed cells (nil error if
-// all succeeded). Cancellation of the caller's context always aborts the
-// sweep with ctx.Err(), keep-going or not.
+// The first error (lowest cell index among the cells that failed) cancels
+// the context so outstanding cells can stop early and unstarted cells are
+// skipped; Run then reports that error and no results. Cancellation of the
+// caller's context aborts the sweep with ctx.Err().
 func Run[T any](ctx context.Context, n int, o Options, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
@@ -130,23 +121,15 @@ func Run[T any](ctx context.Context, n int, o Options, fn func(ctx context.Conte
 			defer span.Release(tr)
 			ctx = span.NewContext(ctx, tr)
 		}
-		var fails Failures
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			r, err := runCell(ctx, tr, submitNs, i, fn)
 			if err != nil {
-				if !o.KeepGoing {
-					return nil, err
-				}
-				fails.Cells = append(fails.Cells, asCellError(i, err))
-				continue
+				return nil, err
 			}
 			results[i] = r
-		}
-		if len(fails.Cells) > 0 {
-			return results, &fails
 		}
 		return results, nil
 	}
@@ -175,9 +158,6 @@ func Run[T any](ctx context.Context, n int, o Options, fn func(ctx context.Conte
 				r, err := runCell(wctx, tr, submitNs, i, fn)
 				if err != nil {
 					errs[i] = err
-					if o.KeepGoing {
-						continue
-					}
 					cancel()
 					return
 				}
@@ -191,20 +171,8 @@ func Run[T any](ctx context.Context, n int, o Options, fn func(ctx context.Conte
 		// results of an interrupted sweep are not presented as complete.
 		return nil, err
 	}
-	if o.KeepGoing {
-		var fails Failures
-		for i, err := range errs {
-			if err != nil {
-				fails.Cells = append(fails.Cells, asCellError(i, err))
-			}
-		}
-		if len(fails.Cells) > 0 {
-			return results, &fails
-		}
-		return results, nil
-	}
-	// Fail-fast: report the lowest-index genuine failure; the cancellation
-	// errors its siblings observed after the teardown rank below it.
+	// Report the lowest-index genuine failure; the cancellation errors its
+	// siblings observed after the teardown rank below it.
 	var canceled error
 	for _, err := range errs {
 		if err == nil {

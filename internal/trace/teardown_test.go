@@ -134,12 +134,10 @@ func (c *cancelAfter) Next() (trace.Ref, error) {
 
 func (c *cancelAfter) Close() error { return trace.CloseReader(c.Reader) }
 
-// TestShardedOpenFailureNoLeak: a reader that fails mid-stream, and a
-// cancel from inside the reader while it is mid-stream, must each fail the
-// drive with the typed error and leak no readahead worker. It keeps the
-// name it had when the cases ran under the block-sharded opener; both now
-// run on one serial drive.
-func TestShardedOpenFailureNoLeak(t *testing.T) {
+// TestDriveFailureNoLeak: a reader that fails mid-stream, and a cancel
+// from inside the reader while it is mid-stream, must each fail the drive
+// with the typed error and leak no readahead worker.
+func TestDriveFailureNoLeak(t *testing.T) {
 	f := packedMixedTrace(t, 32<<10)
 	cause := errors.New("disk on fire")
 	for _, tc := range []struct {
