@@ -237,39 +237,6 @@ func BenchmarkGenerate(b *testing.B) {
 	}
 }
 
-// BenchmarkObsOverhead measures the instrumentation layer's cost on the
-// end-to-end replay unit (Drive feeding the Appendix A classifier): the
-// "enabled" subbenchmark is the default recording path, "disabled" freezes
-// the registry so every metric operation is a single atomic load. The
-// spread between the two is the total observability overhead; the
-// acceptance bound is within a few percent (see
-// results/obs_overhead_bench.txt for the numbers on this host).
-func BenchmarkObsOverhead(b *testing.B) {
-	tr := benchTrace()
-	g := MustGeometry(64)
-	pass := func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c := NewClassifier(tr.Procs, g)
-			if err := Drive(tr.Reader(), c); err != nil {
-				b.Fatal(err)
-			}
-			c.Finish()
-		}
-		reportRefRate(b, tr)
-	}
-	b.Run("enabled", func(b *testing.B) {
-		SetMetricsEnabled(true)
-		b.ReportAllocs()
-		pass(b)
-	})
-	b.Run("disabled", func(b *testing.B) {
-		SetMetricsEnabled(false)
-		defer SetMetricsEnabled(true)
-		b.ReportAllocs()
-		pass(b)
-	})
-}
-
 func reportRefRate(b *testing.B, tr *Trace) {
 	b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "refs/s")
 }

@@ -166,6 +166,28 @@ func TestLogLevelFlagRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestRetiredObsFlags: the experiment subcommands and regen have neither
+// the interval snapshot stream nor the batch debug server; either retired
+// flag is a flag error before any work runs.
+func TestRetiredObsFlags(t *testing.T) {
+	dir := t.TempDir()
+	for _, base := range [][]string{
+		{"fig5", "-quick", "-workloads", "JACOBI", "-blocks", "64"},
+		{"regen", "-quick", "-o", dir},
+	} {
+		for _, retired := range [][]string{
+			{"-metrics-interval", "1s"},
+			{"-debug-addr", "127.0.0.1:0"},
+		} {
+			args := append(append([]string{}, base...), retired...)
+			var sb strings.Builder
+			if err := run(args, &sb); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+				t.Errorf("run(%v) = %v, want a flag error", args, err)
+			}
+		}
+	}
+}
+
 // TestTimingMetricsPresent: the timings section carries the run gauges.
 func TestTimingMetricsPresent(t *testing.T) {
 	_, rep := runWithMetrics(t, "fig5", "-quick", "-workloads", "JACOBI")

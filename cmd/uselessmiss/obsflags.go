@@ -15,18 +15,16 @@ import (
 
 // instruments carries the observability flag values shared by the
 // experiment subcommands and regen: where to write the run-metrics JSON,
-// whether to render the live progress line, the debug-server address, the
-// slog level, and the flight-recorder outputs — the span trace, the span
-// log, the streaming metrics snapshots and the provenance manifest.
+// whether to render the live progress line, the slog level, and the
+// flight-recorder outputs — the span trace, the span log and the
+// provenance manifest.
 type instruments struct {
-	metricsPath     string
-	metricsInterval time.Duration
-	progress        bool
-	debugAddr       string
-	logLevel        string
-	traceOutPath    string
-	spanLogPath     string
-	provenancePath  string
+	metricsPath    string
+	progress       bool
+	logLevel       string
+	traceOutPath   string
+	spanLogPath    string
+	provenancePath string
 
 	// argv is the subcommand name plus its raw arguments, captured by
 	// parse for the provenance manifest.
@@ -44,10 +42,8 @@ func addObsFlags(fs *flag.FlagSet) *instruments { return addObsFlagsNamed(fs, "t
 // so it registers the span trace under -span-out instead.
 func addObsFlagsNamed(fs *flag.FlagSet, traceOutFlag string) *instruments {
 	in := &instruments{}
-	fs.StringVar(&in.metricsPath, "metrics", "", "write the run-metrics JSON report to this file (with -metrics-interval: a JSONL snapshot stream)")
-	fs.DurationVar(&in.metricsInterval, "metrics-interval", 0, "stream metrics-delta snapshots as JSONL at this period, to the -metrics file or stderr")
+	fs.StringVar(&in.metricsPath, "metrics", "", "write this run's metrics delta as a JSON report to this file")
 	fs.BoolVar(&in.progress, "progress", false, "render a live progress line on stderr")
-	fs.StringVar(&in.debugAddr, "debug-addr", "", "serve /metrics, /healthz, /debug/vars and /debug/pprof on this address (e.g. :6060)")
 	fs.StringVar(&in.logLevel, "log", "warn", "slog level: debug, info, warn or error")
 	fs.StringVar(&in.traceOutPath, traceOutFlag, "", "record execution spans and write a Chrome trace_event JSON trace (load in Perfetto) to this file")
 	fs.StringVar(&in.spanLogPath, "span-log", "", "record execution spans and write them as compact JSONL to this file")
@@ -78,12 +74,12 @@ func parseLevel(s string) (slog.Level, error) {
 	}
 }
 
-// around wraps fn with the instrumentation lifecycle: slog setup, the
-// optional debug server, span recording, progress line and snapshot
-// stream, the run timer, and — after fn returns — the metrics report, the
-// span exports and the provenance manifest. Everything it prints goes to
-// stderr or to the flag-named files, never to the experiment's Out writer,
-// so report bytes are untouched. The run error wins over reporting errors.
+// around wraps fn with the instrumentation lifecycle: slog setup, span
+// recording, the progress line, the run timer, and — after fn returns —
+// the metrics report, the span exports and the provenance manifest.
+// Everything it prints goes to stderr or to the flag-named files, never to
+// the experiment's Out writer, so report bytes are untouched. The run
+// error wins over reporting errors.
 func (in *instruments) around(fn func() error) func() error {
 	return func() error {
 		level, err := parseLevel(in.logLevel)
@@ -91,15 +87,6 @@ func (in *instruments) around(fn func() error) func() error {
 			return err
 		}
 		slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level})))
-
-		if in.debugAddr != "" {
-			srv, err := obs.ServeDebug(in.debugAddr)
-			if err != nil {
-				return err
-			}
-			defer srv.Close() //nolint:errcheck // best-effort shutdown
-			slog.Info("debug server listening", "addr", srv.Addr())
-		}
 
 		if in.traceOutPath != "" || in.spanLogPath != "" {
 			span.StartRecording(0)
@@ -112,10 +99,6 @@ func (in *instruments) around(fn func() error) func() error {
 		if in.progress {
 			prog = obs.StartProgress(os.Stderr, obs.Default, 0)
 		}
-		snap, snapClose, err := in.startSnapshots(before)
-		if err != nil {
-			return err
-		}
 
 		runErr := fn()
 
@@ -123,19 +106,10 @@ func (in *instruments) around(fn func() error) func() error {
 		if prog != nil {
 			prog.Stop()
 		}
-		if snap != nil {
-			err := snap.Stop()
-			if closeErr := snapClose(); err == nil {
-				err = closeErr
-			}
-			if err != nil && runErr == nil {
-				runErr = fmt.Errorf("writing metrics snapshots: %w", err)
-			}
-		}
 		delta := obs.Delta(before, obs.Default.Report())
 		slog.Info("run finished", "elapsed", elapsed, "report", delta.String())
 
-		if in.metricsPath != "" && in.metricsInterval <= 0 {
+		if in.metricsPath != "" {
 			if err := in.writeReport(delta); err != nil && runErr == nil {
 				runErr = err
 			}
@@ -150,24 +124,6 @@ func (in *instruments) around(fn func() error) func() error {
 		}
 		return runErr
 	}
-}
-
-// startSnapshots starts the -metrics-interval JSONL snapshot stream. The
-// stream goes to the -metrics file when one is given, to stderr otherwise.
-func (in *instruments) startSnapshots(base obs.RunReport) (*obs.Snapshotter, func() error, error) {
-	if in.metricsInterval <= 0 {
-		return nil, nil, nil
-	}
-	w := io.Writer(os.Stderr)
-	closeFn := func() error { return nil }
-	if in.metricsPath != "" {
-		f, err := os.Create(in.metricsPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		w, closeFn = f, f.Close
-	}
-	return obs.StartSnapshots(w, obs.Default, in.metricsInterval, base), closeFn, nil
 }
 
 // exportSpans stops the recorder and writes the trace_event and JSONL

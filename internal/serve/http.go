@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -14,13 +15,36 @@ import (
 	"repro/internal/obs"
 )
 
-// handler builds the server's mux on top of the repo's debug/metrics
-// surface, so /metrics, /metrics.json, /healthz, /readyz, /debug/vars and
-// /debug/pprof ride along with the job API.
+// handler builds the server's mux: the job API, and next to it the
+// serving port's introspection routes — the process-wide obs registry as
+// Prometheus text at /metrics, liveness at /healthz, this server's
+// readiness at /readyz, and the net/http/pprof suite under /debug/pprof/.
 func (s *Server) handler() http.Handler {
-	mux := obs.NewDebugMux()
+	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		obs.Default.WritePrometheus(w) //nolint:errcheck // best-effort response
+	})
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.Write([]byte("ok\n")) //nolint:errcheck // best-effort response
+	})
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		if !s.ready.Load() {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			w.Write([]byte("draining\n")) //nolint:errcheck // best-effort response
+			return
+		}
+		w.Write([]byte("ok\n")) //nolint:errcheck // best-effort response
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/experiment"
-	"repro/internal/obs"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 )
@@ -132,6 +131,11 @@ type Server struct {
 	nextID atomic.Uint64
 	wg     sync.WaitGroup
 
+	// ready is what this server's /readyz reports. Run sets it, clears it
+	// first when the drain starts and again on return, so a second server
+	// in the same process keeps its own readiness.
+	ready atomic.Bool
+
 	// Server-local mirrors of the obs counters, for /v1/stats (the obs
 	// registry is process-global; these are this server's own).
 	admitted  atomic.Uint64
@@ -174,7 +178,7 @@ func (s *Server) Close() error {
 // Run serves until ctx is canceled, then drains gracefully:
 //
 //  1. /readyz flips unready FIRST — load balancers stop sending work
-//     while the listener is still accepting (satellite 2's contract);
+//     while the listener is still accepting;
 //  2. admission closes — new submissions get a typed 503 "draining";
 //  3. in-flight jobs run to completion, up to DrainTimeout;
 //  4. at the deadline, remaining jobs are force-canceled (typed
@@ -184,8 +188,8 @@ func (s *Server) Close() error {
 // A clean drain returns nil (exit 0); a forced drain returns
 // ErrDrainForced (exit 3).
 func (s *Server) Run(ctx context.Context) error {
-	obs.SetReady(true)
-	defer obs.SetReady(false)
+	s.ready.Store(true)
+	defer s.ready.Store(false)
 
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -209,7 +213,7 @@ func (s *Server) Run(ctx context.Context) error {
 	}
 
 	// Graceful drain. Order matters; see the doc comment.
-	obs.SetReady(false)
+	s.ready.Store(false)
 	drained := s.adm.beginDrain()
 
 	forced := false

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
 	"repro/internal/workload"
@@ -427,6 +428,71 @@ func TestDrainReadyzRegression(t *testing.T) {
 	if _, err := http.Get(ts.base + "/readyz"); err == nil {
 		t.Error("listener still accepting after drain completed")
 	}
+}
+
+// TestReadinessIsPerServer: each server's /readyz answers from its own
+// state, so draining one server leaves another in the same process ready.
+func TestReadinessIsPerServer(t *testing.T) {
+	a := startTestServer(t, Config{})
+	b := startTestServer(t, Config{})
+	if err := a.drain(t); err != nil {
+		t.Fatalf("server a drain: %v", err)
+	}
+	if resp, _ := get(t, b.base+"/readyz"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("server b /readyz = %d after server a drained, want 200", resp.StatusCode)
+	}
+}
+
+// TestDebugRoutes: the serving port answers the introspection routes
+// itself — the obs registry as Prometheus text at /metrics, liveness at
+// /healthz and the pprof suite under /debug/pprof/ — and serves no JSON
+// copy of the registry and no expvar.
+func TestDebugRoutes(t *testing.T) {
+	ts := startTestServer(t, Config{})
+	obs.Default.Counter("serve.debug_test.pings").Inc()
+
+	resp, body := get(t, ts.base+"/metrics")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics status %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
+		t.Errorf("/metrics Content-Type = %q", ct)
+	}
+	if !strings.Contains(body, "\nuselessmiss_serve_debug_test_pings_total ") {
+		t.Errorf("/metrics missing the registry counter:\n%s", body)
+	}
+	if !strings.Contains(body, "# TYPE uselessmiss_serve_debug_test_pings_total counter\n") {
+		t.Error("/metrics missing the counter's TYPE line")
+	}
+
+	if resp, body := get(t, ts.base+"/healthz"); resp.StatusCode != http.StatusOK || body != "ok\n" {
+		t.Errorf("/healthz = %d %q, want 200 ok", resp.StatusCode, body)
+	}
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {
+		if resp, _ := get(t, ts.base+path); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s status %d, want 200", path, resp.StatusCode)
+		}
+	}
+	for _, path := range []string{"/metrics.json", "/debug/vars"} {
+		if resp, _ := get(t, ts.base+path); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s status %d, want 404", path, resp.StatusCode)
+		}
+	}
+}
+
+// get fetches url and returns the response with its body read.
+func get(t *testing.T, url string) (*http.Response, string) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("GET %s: reading body: %v", url, err)
+	}
+	return resp, string(body)
 }
 
 // TestForcedDrainCancelsJobs: a job still running at the drain deadline is
