@@ -85,8 +85,9 @@ faults:
 		-run 'TestExitCode|TestTimeoutExpires|TestRegenInterruptLeavesCompleteArtifacts'
 
 # The serving-mode suite under the race detector: admission control,
-# graceful drain (readyz-first ordering, forced-cancel exit path) and
-# chaos lifecycle leak checks — plus the HTTP-vs-offline differential
+# graceful drain (readyz-first ordering, forced-cancel exit path),
+# per-server readiness, the port's own /metrics, /healthz and pprof routes
+# and chaos lifecycle leak checks — plus the HTTP-vs-offline differential
 # jobs in cmd/uselessmiss. Any unsynchronized access on the submit path or
 # a goroutine leaked across a drain fails here.
 serve-check:

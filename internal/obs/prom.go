@@ -9,8 +9,8 @@ import (
 )
 
 // This file renders a registry in the Prometheus text exposition format
-// (version 0.0.4), the payload behind the debug server's /metrics
-// endpoint. Mapping rules:
+// (version 0.0.4), the payload behind the serving port's /metrics
+// route. Mapping rules:
 //
 //   - Names are prefixed "uselessmiss_" and sanitized: every character
 //     outside [a-zA-Z0-9_] becomes '_' ("trace.drive.refs" →
