@@ -108,8 +108,7 @@ func TestServeDifferentialSpecJobs(t *testing.T) {
 		blocks []string // one job per entry; "" keeps the default sweep
 	}{
 		{"defaults", ``, []string{""}},
-		// Keeps the name it had when a spec also carried a shard count.
-		{"j1_shards1", `,"parallelism":1`, []string{""}},
+		{"j1", `,"parallelism":1`, []string{""}},
 		{"j8", `,"parallelism":8`, []string{""}},
 		{"unfused", ``, []string{"8", "64", "1024"}},
 		{"unfused_j8", `,"parallelism":8`, []string{"8", "64", "1024"}},

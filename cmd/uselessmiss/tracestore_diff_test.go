@@ -42,9 +42,7 @@ func runOut(t *testing.T, args ...string) string {
 // be byte-for-byte identical to the in-memory replay at every combination
 // of sweep parallelism and fusion. Fused replays the whole block sweep in
 // one pass per cell; unfused runs one invocation per block size, so each
-// cell replays a single geometry. Case names keep the "shards1" they had
-// when the grid also ran block-sharded cells: each cell is one reader on
-// one drive.
+// cell replays a single geometry.
 func TestTracestoreDifferentialFig5(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential grid is not short")
@@ -63,7 +61,7 @@ func TestTracestoreDifferentialFig5(t *testing.T) {
 	}
 	for _, j := range []string{"1", "8"} {
 		for _, isFused := range []bool{true, false} {
-			name := fmt.Sprintf("j%s_shards1_fused%v", j, isFused)
+			name := fmt.Sprintf("j%s_fused%v", j, isFused)
 			sweeps := unfused
 			if isFused {
 				sweeps = fused
@@ -85,8 +83,7 @@ func TestTracestoreDifferentialFig5(t *testing.T) {
 // (three classification schemes at two block sizes off one fused pass).
 // Fused compares the file-backed table with the in-memory one. Unfused
 // checks it count for count against the per-cell references: one classify
-// replay of the same packed file per block size. Case names keep their
-// "shards1", as in TestTracestoreDifferentialFig5.
+// replay of the same packed file per block size.
 func TestTracestoreDifferentialTable1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential grid is not short")
@@ -95,7 +92,7 @@ func TestTracestoreDifferentialTable1(t *testing.T) {
 	want := runOut(t, "table1", "-quick", "-workloads", "LU32")
 	perCell := perCellTable1(t, packed)
 	for _, isFused := range []bool{true, false} {
-		name := fmt.Sprintf("shards1_fused%v", isFused)
+		name := fmt.Sprintf("fused%v", isFused)
 		t.Run(name, func(t *testing.T) {
 			args := []string{"table1", "-quick", "-workloads", "LU32",
 				"-j", "8", "-trace-file", "LU32=" + packed}

@@ -69,11 +69,10 @@ func TestFusedProtocolsMatchSerial(t *testing.T) {
 	}
 }
 
-// TestShardedProtocolNamesMatchNew: the fused runner accepts exactly the
+// TestRunProtocolsNamesMatchNew: the fused runner accepts exactly the
 // protocol names New accepts, and rejects any other name before opening a
-// reader. This test and TestShardedUnknownProtocol keep the names they had
-// when they covered the block-sharded runner RunProtocols replaced.
-func TestShardedProtocolNamesMatchNew(t *testing.T) {
+// reader.
+func TestRunProtocolsNamesMatchNew(t *testing.T) {
 	tr := trace.New(2, trace.L(0, 0), trace.S(1, 0), trace.A(0, 64), trace.R(0, 64))
 	g := mem.MustGeometry(16)
 	for _, name := range append(allProtocols(), "BOGUS", "", "otf", "OTF ") {
@@ -92,10 +91,10 @@ func TestShardedProtocolNamesMatchNew(t *testing.T) {
 	}
 }
 
-// TestShardedUnknownProtocol pins the validation path: a set with an
+// TestRunProtocolsUnknownProtocol pins the validation path: a set with an
 // unknown name must fail before any reader is opened, and the empty set is
 // a no-op, not an error.
-func TestShardedUnknownProtocol(t *testing.T) {
+func TestRunProtocolsUnknownProtocol(t *testing.T) {
 	opened := false
 	open := func() (trace.Reader, error) {
 		opened = true

@@ -147,6 +147,111 @@ func TestTraceCacheBudgetSharedAcrossNames(t *testing.T) {
 	}
 }
 
+// TestTraceCacheBudgetHoldsUnderConcurrency: two names whose drains run
+// side by side both read the whole remaining budget when they start, but
+// only the one that still fits when it finishes is admitted.
+func TestTraceCacheBudgetHoldsUnderConcurrency(t *testing.T) {
+	traces := map[string]*trace.Trace{"A": testTrace(4, 8), "B": testTrace(4, 9)}
+	n := int64(traces["A"].Len())
+	budget := n + n/2
+	// The first two opens are the two materializations: each blocks until
+	// both have started, so neither has finished when the other reads the
+	// remaining budget.
+	var started sync.WaitGroup
+	started.Add(2)
+	var opens atomic.Int64
+	inner := openerFor(traces, nil)
+	c := NewTraceCache(budget, func(name string) (trace.Reader, error) {
+		if opens.Add(1) <= 2 {
+			started.Done()
+			started.Wait()
+		}
+		return inner(name)
+	})
+
+	srcs := make(map[string]func() (trace.Reader, error))
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for name := range traces {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			src, err := c.Source(name)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mu.Lock()
+			srcs[name] = src
+			mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	s := c.Stats()
+	if s.CachedRefs > budget {
+		t.Errorf("CachedRefs = %d over the %d-ref budget", s.CachedRefs, budget)
+	}
+	if s.Misses != 2 || s.Streamed != 1 || s.CachedRefs != n {
+		t.Errorf("stats = %+v, want 2 misses, 1 streamed, %d refs cached", s, n)
+	}
+	for name, src := range srcs {
+		r, err := src()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := trace.Collect(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Refs, traces[name].Refs) {
+			t.Errorf("%s replayed different refs", name)
+		}
+	}
+}
+
+// TestTraceCacheWideAddressStreams: a trace with an address one past the
+// packed word's limit is streamed like an over-budget one, and every
+// reader still replays it exactly.
+func TestTraceCacheWideAddressStreams(t *testing.T) {
+	var calls atomic.Int64
+	tr := testTrace(4, 10)
+	tr.Refs[len(tr.Refs)/2].Addr = trace.MaxPackedAddr + 1
+	c := NewTraceCache(0, openerFor(map[string]*trace.Trace{"T": tr}, &calls))
+
+	src, err := c.Source("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		var r trace.Reader
+		if i%2 == 0 {
+			r, err = src()
+		} else {
+			r, err = c.Reader("T")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := trace.Collect(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Refs, tr.Refs) {
+			t.Fatalf("reader %d replayed different refs", i)
+		}
+	}
+	if s := c.Stats(); s.Misses != 1 || s.Hits != 0 || s.Streamed != 3 || s.CachedRefs != 0 {
+		t.Errorf("stats = %+v, want 1 miss, 3 streamed, nothing cached", s)
+	}
+	// One abandoned materialization + four fresh streams.
+	if n := calls.Load(); n != 5 {
+		t.Errorf("opener called %d times, want 5", n)
+	}
+}
+
 func TestTraceCacheOpenerError(t *testing.T) {
 	boom := errors.New("boom")
 	var calls atomic.Int64

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"errors"
 	"io"
 	"testing"
@@ -87,6 +88,7 @@ func TestNextBatchMatchesNext(t *testing.T) {
 	}{
 		{"slice", func() Reader { return tr.Reader() }},
 		{"generator", makeGen},
+		{"packed", func() Reader { return mustPack(t, tr).Reader() }},
 	}
 	for _, tc := range cases {
 		for _, size := range []int{1, 7, 512, 8192} {
@@ -161,41 +163,38 @@ func TestDriveReadErrorWinsOverCloseError(t *testing.T) {
 	}
 }
 
-// TestCollectPropagatesCloseError: Collect and CollectN surface close
+// TestCollectPropagatesCloseError: Collect and CollectPacked surface close
 // errors on otherwise-clean drains.
 func TestCollectPropagatesCloseError(t *testing.T) {
 	closeErr := errors.New("close failed")
 	if _, err := Collect(&errCloser{Reader: New(1, L(0, 1)).Reader(), err: closeErr}); !errors.Is(err, closeErr) {
 		t.Fatalf("Collect = %v, want the close error", err)
 	}
-	if _, _, err := CollectN(&errCloser{Reader: New(1, L(0, 1)).Reader(), err: closeErr}, 10); !errors.Is(err, closeErr) {
-		t.Fatalf("CollectN = %v, want the close error", err)
+	if _, _, err := CollectPacked(context.Background(), &errCloser{Reader: New(1, L(0, 1)).Reader(), err: closeErr}, 10); !errors.Is(err, closeErr) {
+		t.Fatalf("CollectPacked = %v, want the close error", err)
 	}
 }
 
 // TestCollectNExactLengthIsFullDrain: a stream of exactly maxRefs
-// references is a complete drain (regression for the batched rewrite).
+// references is a complete drain, and a longer one is not.
 func TestCollectNExactLengthIsFullDrain(t *testing.T) {
 	tr := New(1, L(0, 1), L(0, 2), L(0, 3))
-	got, full, err := CollectN(tr.Reader(), 3)
+	got, full, err := CollectPacked(context.Background(), tr.Reader(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !full {
-		t.Fatal("CollectN reported a partial drain for an exact-length stream")
+		t.Fatal("CollectPacked reported a partial drain for an exact-length stream")
 	}
 	if got.Len() != 3 {
-		t.Fatalf("collected %d refs, want 3", got.Len())
+		t.Fatalf("packed %d refs, want 3", got.Len())
 	}
-	got, full, err = CollectN(tr.Reader(), 2)
+	got, full, err = CollectPacked(context.Background(), tr.Reader(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full {
-		t.Fatal("CollectN reported a full drain for a capped stream")
-	}
-	if got.Len() != 2 {
-		t.Fatalf("collected %d refs, want 2", got.Len())
+	if full || got != nil {
+		t.Fatalf("CollectPacked = (%v, %v) for a capped stream, want (nil, false)", got, full)
 	}
 }
 
